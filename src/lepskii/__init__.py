@@ -12,7 +12,6 @@ from .balancing import (
     balancing_select,
     empirical_sample_error,
     estimate_sigma,
-    select_min_of_two,
     select_one_for_all,
 )
 from .effdim import (
@@ -73,8 +72,6 @@ from .kernels import (
 )
 from .linalg import (
     SpectralDecomposition,
-    SymMatrix,
-    apply_spectral_function,
     sym_eigendecompose,
 )
 from .synthetic import (
@@ -88,7 +85,6 @@ from .synthetic import (
     generate,
     lambda_star,
     oracle_lambda_balance,
-    oracle_lambda_general,
     oracle_lambda_regular,
     polynomial_spectrum_model,
     rate_exponent,

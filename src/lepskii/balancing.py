@@ -153,31 +153,6 @@ def select_one_for_all(
     return balancing_select(fits, grid, dec, kscale, dataclasses.replace(cfg, s=0.5), n)
 
 
-def select_min_of_two(
-    fits: Mapping[float, EstimatorCoefficients | np.ndarray],
-    grid: Grid | Sequence[float],
-    dec: SpectralDecomposition,
-    kscale: float,
-    cfg: BalancingConfig,
-    n: int,
-) -> BalancingDiagnostics:
-    """Comparison mode only: the older construction min(lambda-hat_s, lambda-hat_0).
-
-    The direct selection (balancing_select / select_one_for_all) supersedes
-    this; it is kept as a baseline for experiments comparing the two.
-    """
-    at_s = balancing_select(fits, grid, dec, kscale, cfg, n)
-    at_zero = balancing_select(fits, grid, dec, kscale, dataclasses.replace(cfg, s=0.0), n)
-    winner = at_s if at_s.lambda_hat <= at_zero.lambda_hat else at_zero
-    return BalancingDiagnostics(
-        lambda_hat=min(at_s.lambda_hat, at_zero.lambda_hat),
-        jplus=winner.jplus,
-        pairwise_norms=winner.pairwise_norms,
-        thresholds=winner.thresholds,
-        s=cfg.s,
-    )
-
-
 def estimate_sigma(
     data: Dataset,
     k: KernelSpec,

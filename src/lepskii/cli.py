@@ -19,7 +19,6 @@ from .errors import LepskiiError
 from .estimators import FILTERS, fit_from_decomposition, predict
 from .experiments import (
     ExperimentConfig,
-    bernstein_bound,  # noqa: F401  (re-exported for scripting convenience)
     fit_rate,
     format_float,
     read_results_csv,

@@ -21,7 +21,8 @@ from .errors import (
 from .linalg import SpectralDecomposition
 
 
-def _check_lambda(lam: float) -> float:
+def check_lambda(lam: float) -> float:
+    """lam as a float, after checking that it lies in (0, 1]."""
     lam = float(lam)
     if not (0.0 < lam <= 1.0) or not np.isfinite(lam):
         raise InvalidLambdaError(f"lambda must lie in (0, 1], got {lam}")
@@ -47,14 +48,14 @@ class SampleErrorParams:
 
 def empirical_effdim(spectrum: SpectralDecomposition | np.ndarray, lam: float) -> float:
     """N_x(lambda) = sum_i mu_i / (mu_i + lambda) over all n Gram eigenvalues."""
-    lam = _check_lambda(lam)
+    lam = check_lambda(lam)
     mu = spectrum.eigenvalues if isinstance(spectrum, SpectralDecomposition) else np.asarray(spectrum, dtype=float)
     return float(np.sum(mu / (mu + lam)))
 
 
 def model_effdim(t_bar: np.ndarray, lam: float) -> float:
     """N(lambda) for a declared normalized spectrum t_bar (exact finite sum)."""
-    lam = _check_lambda(lam)
+    lam = check_lambda(lam)
     t = np.asarray(t_bar, dtype=float)
     if t.size == 0:
         raise EmptySpectrumError("model spectrum is empty")
@@ -72,7 +73,7 @@ def sample_error(
     p: SampleErrorParams, effdim_clamped_val: float, lam: float, include_remainder: bool = True
 ) -> float:
     """sigma sqrt(clamped_N / (n lambda)), plus the remainder M/(n lambda) when flagged."""
-    lam = _check_lambda(lam)
+    lam = check_lambda(lam)
     if effdim_clamped_val < 1.0:
         raise DomainViolationError("clamped effective dimension must be >= 1")
     value = p.sigma * np.sqrt(effdim_clamped_val / (p.n * lam))
@@ -106,7 +107,7 @@ def two_sided_check(N_model: float, N_emp: float, n: int, lam: float, eta: float
     """
     if not (0.0 < eta < 1.0):
         raise InvalidEtaError(f"eta must lie in (0, 1), got {eta}")
-    lam = _check_lambda(lam)
+    lam = check_lambda(lam)
     delta = 2.0 * np.log(4.0 / eta) / np.sqrt(n * lam)
     a = np.sqrt(max(N_model, 1.0))
     b = np.sqrt(max(N_emp, 1.0))

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .effdim import check_lambda
 from .errors import (
     DimensionMismatchError,
     DomainViolationError,
@@ -55,13 +56,6 @@ class EstimatorCoefficients:
         if not np.all(np.isfinite(c)):
             raise DomainViolationError("coefficients contain non-finite values")
         object.__setattr__(self, "c", c)
-
-
-def check_lambda(lam: float) -> float:
-    lam = float(lam)
-    if not (0.0 < lam <= 1.0) or not np.isfinite(lam):
-        raise InvalidLambdaError(f"lambda must lie in (0, 1], got {lam}")
-    return lam
 
 
 def filter_value(m: FilterMethod, lam: float, t):

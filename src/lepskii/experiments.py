@@ -41,28 +41,6 @@ from .synthetic import (
     true_error_norm,
 )
 
-RESULT_COLUMNS = (
-    "n",
-    "replication",
-    "filter",
-    "lambda_hat_half",
-    "lambda_hat_zero",
-    "lambda_star",
-    "lambda_oracle",
-    "err_s0_at_hat",
-    "err_s12_at_hat",
-    "err_min_over_grid_s0",
-    "err_min_over_grid_s12",
-    "err_at_oracle",
-    "holdout_lambda",
-    "err_at_holdout",
-    "wall_time_ms",
-    # appended beyond the declared set: one-for-all numerator and failure tag
-    "err_s0_at_hat_half",
-    "error",
-)
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     model: SyntheticModel
@@ -94,8 +72,12 @@ class ExperimentRow:
     holdout_lambda: float = float("nan")
     err_at_holdout: float = float("nan")
     wall_time_ms: float = 0.0
+    # appended beyond the declared set: one-for-all numerator and failure tag
     err_s0_at_hat_half: float = float("nan")
     error: str = ""
+
+
+RESULT_COLUMNS = tuple(f.name for f in dataclasses.fields(ExperimentRow))
 
 
 def holdout_select(
@@ -154,11 +136,7 @@ def _replication_rows(
             grid = fixed_grid
             lam_star = fixed_lambda_star
     except (LepskiiError, np.linalg.LinAlgError) as exc:
-        tag = f"{type(exc).__name__}: {exc}"
-        return [
-            ExperimentRow(n=n, replication=rep, filter=filt.variant, error=tag)
-            for filt in cfg.filters
-        ]
+        return _failed_rows(cfg, n, rep, exc)
     shared_ms = (time.perf_counter() - t_start) * 1000.0
 
     rows = []
@@ -209,8 +187,18 @@ def _replication_rows(
     return rows
 
 
+def _failed_rows(cfg: ExperimentConfig, n: int, rep: int, exc: Exception) -> list[ExperimentRow]:
+    """One row per filter carrying the failure tag, so failures are kept, not dropped."""
+    tag = f"{type(exc).__name__}: {exc}"
+    return [ExperimentRow(n=n, replication=rep, filter=filt.variant, error=tag) for filt in cfg.filters]
+
+
 def run_experiment(cfg: ExperimentConfig, threads: int = 1, progress=None) -> list[ExperimentRow]:
-    """Run the full (n x replication x filter) table; rows in deterministic order."""
+    """Run the full (n x replication x filter) table; rows in deterministic order.
+
+    Replications run on `threads` worker threads and are collected in order;
+    `progress` (a text stream) gets one line per collected replication.
+    """
     if cfg.replications < 0:
         raise InsufficientDataError("replications must be >= 0")
     model = cfg.model
@@ -218,35 +206,33 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1, progress=None) -> li
     oracle = ApproxErrorOracle.from_model(model)
 
     all_rows: list[ExperimentRow] = []
-    for n in cfg.n_values:
-        lam_oracle = oracle_lambda_balance(oracle, effdim_fn, model.params(n), n)
-        if cfg.lambda0_mode == "heuristic":
-            fixed_grid, fixed_star = None, None
-        else:
-            if cfg.lambda0_mode == "model":
-                lam0 = lambda0_from_effdim(effdim_fn, n)
-            else:
-                lam0 = float(cfg.lambda0_mode)
-            fixed_grid = geometric_grid(lam0, cfg.grid_q)
-            fixed_star = lambda_star(fixed_grid, oracle, effdim_fn, model.params(n), n)
+    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
+        for n in cfg.n_values:
+            try:
+                lam_oracle = oracle_lambda_balance(oracle, effdim_fn, model.params(n), n)
+                if cfg.lambda0_mode == "heuristic":
+                    fixed_grid, fixed_star = None, None
+                else:
+                    if cfg.lambda0_mode == "model":
+                        lam0 = lambda0_from_effdim(effdim_fn, n)
+                    else:
+                        lam0 = float(cfg.lambda0_mode)
+                    fixed_grid = geometric_grid(lam0, cfg.grid_q)
+                    fixed_star = lambda_star(fixed_grid, oracle, effdim_fn, model.params(n), n)
+            except LepskiiError as exc:
+                for rep in range(cfg.replications):
+                    all_rows.extend(_failed_rows(cfg, n, rep, exc))
+                continue
 
-        def job(rep: int) -> list[ExperimentRow]:
-            return _replication_rows(
-                cfg, n, rep, fixed_grid, fixed_star, lam_oracle, oracle, effdim_fn
-            )
+            def job(rep: int) -> list[ExperimentRow]:
+                return _replication_rows(
+                    cfg, n, rep, fixed_grid, fixed_star, lam_oracle, oracle, effdim_fn
+                )
 
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                futures = [pool.submit(job, rep) for rep in range(cfg.replications)]
-                results = [f.result() for f in futures]
-        else:
-            results = []
-            for rep in range(cfg.replications):
-                results.append(job(rep))
+            for rep, rows in enumerate(pool.map(job, range(cfg.replications))):
+                all_rows.extend(rows)
                 if progress is not None:
                     print(f"n={n} replication {rep + 1}/{cfg.replications}", file=progress)
-        for rows in results:
-            all_rows.extend(rows)
     return all_rows
 
 

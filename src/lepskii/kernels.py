@@ -21,6 +21,7 @@ from .errors import DomainViolationError, EmptySpectrumError, NonFiniteError
 from .linalg import (
     SpectralDecomposition,
     SymMatrix,
+    _clamp_unit_interval,
     sym_eigendecompose,
     truncated_decomposition,
 )
@@ -187,6 +188,17 @@ def gram_scale(k: KernelSpec, n: int) -> float:
     return n * kappa_squared(k)
 
 
+def _factor_route(k: KernelSpec, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """(Phi / sqrt(n kappa^2), its symmetrised D x D Gram) for explicit-spectrum
+    kernels with n > D, where G = Phi Phi^T / (n kappa^2) has rank <= D; else None."""
+    n = xs.shape[0]
+    if not (isinstance(k, ExplicitSpectrumKernel) and n > k.size):
+        return None
+    phi = feature_matrix(k, xs) / np.sqrt(gram_scale(k, n))
+    c = phi.T @ phi
+    return phi, 0.5 * (c + c.T)
+
+
 def gram_decomposition(k: KernelSpec, xs: np.ndarray) -> SpectralDecomposition:
     """Spectral decomposition of the normalized Gram matrix G.
 
@@ -195,36 +207,30 @@ def gram_decomposition(k: KernelSpec, xs: np.ndarray) -> SpectralDecomposition:
     of the n x n matrix; results agree with the dense route up to round-off.
     """
     xs = _check_domain(k, xs)
-    n = xs.shape[0]
-    if isinstance(k, ExplicitSpectrumKernel) and n > k.size:
-        phi = feature_matrix(k, xs) / np.sqrt(gram_scale(k, n))
-        c = phi.T @ phi
-        vals, vecs = np.linalg.eigh(0.5 * (c + c.T))
-        vals = vals[::-1]
-        vecs = vecs[:, ::-1]
-        keep = vals > max(vals[0], 0.0) * _EIG_REL_CUTOFF
-        vals = np.clip(vals[keep], 0.0, 1.0)
-        # lift factor-space eigenvectors to data space: u = phi w / sqrt(nu)
-        u = phi @ (vecs[:, keep] / np.sqrt(vals))
-        return truncated_decomposition(vals, u, dim=n, normalized=True)
-    return sym_eigendecompose(normalized_gram(k, xs), normalized=True)
+    factor = _factor_route(k, xs)
+    if factor is None:
+        return sym_eigendecompose(normalized_gram(k, xs), normalized=True)
+    phi, c = factor
+    vals, vecs = np.linalg.eigh(c)
+    vals = vals[::-1]
+    vecs = vecs[:, ::-1]
+    keep = vals > max(vals[0], 0.0) * _EIG_REL_CUTOFF
+    vals = _clamp_unit_interval(vals[keep])
+    # lift factor-space eigenvectors to data space: u = phi w / sqrt(nu)
+    u = phi @ (vecs[:, keep] / np.sqrt(vals))
+    return truncated_decomposition(vals, u, dim=xs.shape[0])
 
 
 def gram_eigenvalues(k: KernelSpec, xs: np.ndarray) -> np.ndarray:
     """Eigenvalues of G only (descending, length n); cheaper than gram_decomposition."""
-    from .linalg import _clamp_unit_interval
-
     xs = _check_domain(k, xs)
-    n = xs.shape[0]
-    if isinstance(k, ExplicitSpectrumKernel) and n > k.size:
-        phi = feature_matrix(k, xs) / np.sqrt(gram_scale(k, n))
-        c = phi.T @ phi
-        vals = np.linalg.eigvalsh(0.5 * (c + c.T))[::-1]
-        out = np.zeros(n)
-        out[: vals.shape[0]] = _clamp_unit_interval(vals)
-        return out
-    vals = np.linalg.eigvalsh(normalized_gram(k, xs).values)[::-1]
-    return _clamp_unit_interval(vals)
+    factor = _factor_route(k, xs)
+    if factor is None:
+        return _clamp_unit_interval(np.linalg.eigvalsh(normalized_gram(k, xs).values)[::-1])
+    out = np.zeros(xs.shape[0])
+    vals = np.linalg.eigvalsh(factor[1])[::-1]
+    out[: vals.shape[0]] = _clamp_unit_interval(vals)
+    return out
 
 
 def read_dataset_csv(path: str | Path) -> Dataset:

@@ -1,4 +1,4 @@
-"""Dense symmetric eigendecomposition and spectral-function application.
+"""Dense symmetric eigendecomposition and truncated spectral decompositions.
 
 Every operator expression downstream (filters, fractional powers, effective
 dimension) reduces to work on the spectral decomposition produced here.
@@ -12,7 +12,6 @@ by the low-rank Gram route in :mod:`lepskii.kernels`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -72,10 +71,6 @@ class SpectralDecomposition:
         """Number of explicitly stored eigenpairs (not the matrix rank)."""
         return self.vectors.shape[1]
 
-    @property
-    def is_full(self) -> bool:
-        return self.vectors.shape[1] == self.dim
-
     def project(self, x: np.ndarray) -> np.ndarray:
         """Coordinates of x (vector or stacked columns) w.r.t. the stored eigenvectors."""
         return self.vectors.T @ x
@@ -117,42 +112,13 @@ def sym_eigendecompose(m: SymMatrix | np.ndarray, normalized: bool = False) -> S
     return SpectralDecomposition(eigenvalues=vals, vectors=vecs)
 
 
-def truncated_decomposition(
-    eigenvalues: np.ndarray, vectors: np.ndarray, dim: int, normalized: bool = False
-) -> SpectralDecomposition:
+def truncated_decomposition(eigenvalues: np.ndarray, vectors: np.ndarray, dim: int) -> SpectralDecomposition:
     """Assemble a decomposition from the leading eigenpairs of a dim x dim matrix.
 
     The supplied eigenvalues must already be descending and account for every
     nonzero eigenvalue; the remaining dim - r eigenvalues are taken to be 0.
     """
     eigenvalues = np.asarray(eigenvalues, dtype=float)
-    if normalized:
-        eigenvalues = _clamp_unit_interval(eigenvalues)
     full = np.zeros(dim)
     full[: eigenvalues.shape[0]] = eigenvalues
     return SpectralDecomposition(eigenvalues=full, vectors=np.asarray(vectors, dtype=float))
-
-
-def apply_spectral_function(d: SpectralDecomposition, phi: Callable[[float], float]) -> SymMatrix:
-    """V diag(phi(mu)) V^T for a scalar function phi finite on the spectrum."""
-    mu = d.eigenvalues[: d.rank]
-    vals = np.array([phi(float(t)) for t in mu], dtype=float)
-    if d.is_full:
-        tail = 0.0
-        if not np.all(np.isfinite(vals)):
-            raise NonFiniteError("phi produced a non-finite value on the spectrum")
-        out = (d.vectors * vals) @ d.vectors.T
-    else:
-        # implicit null space: phi(0) * (I - V V^T) completes the operator
-        tail = float(phi(0.0))
-        if not (np.all(np.isfinite(vals)) and np.isfinite(tail)):
-            raise NonFiniteError("phi produced a non-finite value on the spectrum")
-        out = (d.vectors * (vals - tail)) @ d.vectors.T
-        out[np.diag_indices_from(out)] += tail
-    out = 0.5 * (out + out.T)
-    return SymMatrix(out)
-
-
-def reconstruct(d: SpectralDecomposition) -> SymMatrix:
-    """Rebuild the original matrix (identity spectral function)."""
-    return apply_spectral_function(d, lambda t: t)

@@ -20,7 +20,6 @@ from .effdim import (
     SampleErrorParams,
     effdim_clamped,
     model_effdim,
-    model_sample_error,
     sample_error,
 )
 from .errors import (
@@ -303,18 +302,6 @@ def oracle_lambda_balance(
     return balance_crossing(lambda lam: oracle.a_tilde(lam, n), s_tilde)
 
 
-def oracle_lambda_general(A: Callable[[float], float], b: float, n: int) -> float:
-    """lambda_n = psi^{-1}(1/sqrt(n)) with psi(t) = A(t) t^{(1/b + 1)/2}."""
-    if b <= 0:
-        raise DomainViolationError("b must be positive")
-    expo = 0.5 * (1.0 / b + 1.0)
-    psi = lambda t: A(t) * t**expo
-    target = 1.0 / np.sqrt(n)
-    if psi(1.0) < target:
-        raise NoCrossingError("psi(1) below 1/sqrt(n); no solution in (0, 1]")
-    return _bisect_increasing(lambda t: psi(t) - target, BISECTION_LO, 1.0)
-
-
 def rate_exponent(r: float, b: float, s: float) -> float:
     """Exponent of the minimax rate n^{-b(r+s)/(2br+b+1)} in the regular case."""
     if b <= 1.0 or r <= 0 or not (0.0 <= s <= 0.5):
@@ -348,12 +335,6 @@ def lambda_star(
 def model_effdim_fn(model: SyntheticModel) -> Callable[[float], float]:
     """The map lambda -> N(lambda) for the model spectrum."""
     return lambda lam: model_effdim(model.t_bar, lam)
-
-
-def model_sample_error_fn(model: SyntheticModel, n: int) -> Callable[[float], float]:
-    """The map lambda -> S(n, lambda) + M/(n lambda) for the model spectrum."""
-    params = model.params(n)
-    return lambda lam: model_sample_error(params, model.t_bar, lam)
 
 
 def load_model_json(path: str | Path) -> SyntheticModel:

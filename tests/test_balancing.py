@@ -9,7 +9,6 @@ from lepskii.balancing import (
     balancing_select,
     empirical_sample_error,
     estimate_sigma,
-    select_min_of_two,
     select_one_for_all,
 )
 from lepskii.errors import DomainViolationError, IncompleteFamilyError
@@ -125,17 +124,6 @@ def test_one_for_all_is_s_half():
         _fit_family(dec, kscale, sample.data.ys, [1.0]), [1.0], dec, kscale, cfg, 30
     )
     assert single.lambda_hat == 1.0
-
-
-def test_min_of_two_comparison_mode():
-    model, sample, kernel, dec, kscale = _instance(7)
-    grid = geometric_grid(0.02, 2.0)
-    fits = _fit_family(dec, kscale, sample.data.ys, grid.lambdas)
-    cfg = BalancingConfig(s=0.5, sigma=0.3, bal_factor=2.0)
-    combo = select_min_of_two(fits, grid, dec, kscale, cfg, 30)
-    at_half = balancing_select(fits, grid, dec, kscale, cfg, 30)
-    at_zero = balancing_select(fits, grid, dec, kscale, dataclasses.replace(cfg, s=0.0), 30)
-    assert combo.lambda_hat == min(at_half.lambda_hat, at_zero.lambda_hat)
 
 
 def test_selection_deterministic():

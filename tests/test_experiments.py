@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 
@@ -209,6 +211,30 @@ def test_run_experiment_threads_match_serial():
     serial = rows_to_csv(run_experiment(cfg, threads=1))
     threaded = rows_to_csv(run_experiment(cfg, threads=3))
     assert serial == threaded
+
+
+def test_run_experiment_threaded_progress():
+    buf = io.StringIO()
+    run_experiment(_tiny_config(), threads=2, progress=buf)
+    expected = [f"n={n} replication {k}/3" for n in (60, 120) for k in (1, 2, 3)]
+    assert buf.getvalue().splitlines() == expected
+
+
+def test_run_experiment_tags_failed_per_n_setup():
+    # a pinned lambda0 = 0.5 grid misses the A/S crossing at n = 40, D = 50: EmptyJError
+    cfg = _tiny_config(
+        model=polynomial_spectrum_model(b=2.0, size=50, sigma=0.3),
+        n_values=(40,),
+        replications=2,
+        filters=(TIKHONOV, LANDWEBER),
+        lambda0_mode=0.5,
+    )
+    rows = run_experiment(cfg)
+    assert [(r.n, r.replication, r.filter) for r in rows] == [
+        (40, rep, filt) for rep in (0, 1) for filt in ("tikhonov", "landweber")
+    ]
+    assert all(r.error.startswith("EmptyJError: ") for r in rows)
+    assert summarize(rows)["failed_rows"] == 4
 
 
 def test_run_experiment_multiple_filters():

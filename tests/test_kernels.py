@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lepskii.errors import DomainViolationError
+from lepskii.errors import DomainViolationError, NotPositiveSemiDefiniteError
 from lepskii.kernels import (
     Dataset,
     ExplicitSpectrumKernel,
@@ -131,6 +131,16 @@ def test_factor_route_matches_dense_route():
     # lifted eigenvectors stay orthonormal
     gram_u = dec.vectors.T @ dec.vectors
     assert np.linalg.norm(gram_u - np.eye(dec.rank)) <= 1e-8
+
+
+@pytest.mark.parametrize("n", [5, 25], ids=["dense", "factor"])  # D = 7
+@pytest.mark.parametrize("route", [gram_decomposition, gram_eigenvalues])
+def test_out_of_range_spectrum_rejected_on_every_route(monkeypatch, route, n):
+    k = ExplicitSpectrumKernel(np.arange(1, 8, dtype=float) ** -2.0)
+    # a quarter of the sup bound lifts the top normalized eigenvalue to about 2
+    monkeypatch.setattr("lepskii.kernels.kappa_squared", lambda kk: 0.25 * kappa_squared(kk))
+    with pytest.raises(NotPositiveSemiDefiniteError, match="above 1"):
+        route(k, np.random.default_rng(9).random(n))
 
 
 def test_empirical_eigenvalues_concentrate_near_model():

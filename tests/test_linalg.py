@@ -3,14 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lepskii.errors import NonFiniteError, NonSymmetricError
-from lepskii.linalg import (
-    SpectralDecomposition,
-    SymMatrix,
-    apply_spectral_function,
-    reconstruct,
-    sym_eigendecompose,
-    truncated_decomposition,
-)
+from lepskii.estimators import FILTERS, fit_from_decomposition, weighted_diff_norm
+from lepskii.linalg import SymMatrix, sym_eigendecompose, truncated_decomposition
 
 
 def det_gauss(a):
@@ -90,7 +84,7 @@ def test_random_psd_against_charpoly_oracle():
     rng = np.random.default_rng(7)
     a = random_psd(rng, 5)
     d = sym_eigendecompose(a)
-    recon = reconstruct(d).values
+    recon = (d.vectors * d.eigenvalues) @ d.vectors.T
     assert np.linalg.norm(recon - a) <= 1e-8 * np.linalg.norm(a)
     oracle = charpoly_roots(a)
     # distinct eigenvalues for this seed; compare sorted lists
@@ -118,35 +112,6 @@ def test_non_finite_rejected():
         sym_eigendecompose(np.array([[np.inf, 0.0], [0.0, 1.0]]))
 
 
-def test_apply_identity_function_reconstructs():
-    rng = np.random.default_rng(11)
-    a = random_psd(rng, 6)
-    d = sym_eigendecompose(a)
-    assert np.linalg.norm(apply_spectral_function(d, lambda t: t).values - a) <= 1e-8 * np.linalg.norm(a)
-
-
-def test_apply_scalar_case():
-    d = sym_eigendecompose(np.array([[1.0]]))
-    out = apply_spectral_function(d, lambda t: 1.0 / (t + 1.0))
-    assert np.allclose(out.values, [[0.5]])
-
-
-def test_apply_resolvent_matches_linear_solve():
-    rng = np.random.default_rng(5)
-    a = random_psd(rng, 4)
-    lam = 0.3
-    d = sym_eigendecompose(a)
-    inv = apply_spectral_function(d, lambda t: 1.0 / (t + lam)).values
-    direct = np.linalg.solve(a + lam * np.eye(4), np.eye(4))
-    assert np.linalg.norm(inv - direct) <= 1e-8 * np.linalg.norm(direct)
-
-
-def test_apply_non_finite_phi_rejected():
-    d = sym_eigendecompose(np.diag([1.0, 0.0]))
-    with pytest.raises(NonFiniteError):
-        apply_spectral_function(d, lambda t: 1.0 / t if t > 0 else float("inf"))
-
-
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=1, max_value=7), st.integers(min_value=0, max_value=2**31 - 1))
 def test_psd_floor_trace_identity_orthonormality(n, seed):
@@ -156,23 +121,6 @@ def test_psd_floor_trace_identity_orthonormality(n, seed):
     assert d.eigenvalues.min() >= -1e-10 * max(1.0, abs(d.eigenvalues).max())
     assert abs(d.eigenvalues.sum() - np.trace(a)) <= 1e-9 * max(1.0, abs(np.trace(a)))
     assert np.linalg.norm(d.vectors.T @ d.vectors - np.eye(n)) <= 1e-10 * n
-
-
-def test_composition_property():
-    # phi(psi(.)) applied once equals applying psi, re-decomposing, applying phi
-    rng = np.random.default_rng(13)
-    for seed in range(10):
-        rng = np.random.default_rng(seed)
-        a = random_psd(rng, 5)
-        d = sym_eigendecompose(a)
-        if np.min(np.abs(np.diff(d.eigenvalues))) < 1e-6:
-            continue  # composition comparison needs a spectral gap
-        psi = lambda t: t / (t + 0.5)
-        phi = lambda t: np.sqrt(abs(t)) + 1.0
-        once = apply_spectral_function(d, lambda t: phi(psi(t))).values
-        inner = apply_spectral_function(d, psi)
-        twice = apply_spectral_function(sym_eigendecompose(inner), phi).values
-        assert np.linalg.norm(once - twice) <= 1e-7 * np.linalg.norm(once)
 
 
 def test_normalized_clamping():
@@ -194,10 +142,18 @@ def test_truncated_decomposition_matches_full():
     trunc = truncated_decomposition(full.eigenvalues[:2], full.vectors[:, :2], dim=5)
     assert trunc.rank == 2 and trunc.dim == 5
     assert np.allclose(trunc.eigenvalues[2:], 0.0)
-    for phi in (lambda t: t, lambda t: 1.0 / (t + 0.25), lambda t: (t + 0.1) ** 0.6):
-        f_full = apply_spectral_function(full, phi).values
-        f_trunc = apply_spectral_function(trunc, phi).values
-        assert np.linalg.norm(f_full - f_trunc) <= 1e-8 * max(1.0, np.linalg.norm(f_full))
+    ys, c1, c2 = rng.standard_normal((3, 5))
+    kscale = 5.0
+    for method in FILTERS.values():
+        for lam in (0.1, 0.5):
+            c_full = fit_from_decomposition(full, kscale, ys, method, lam).c
+            c_trunc = fit_from_decomposition(trunc, kscale, ys, method, lam).c
+            assert np.linalg.norm(c_full - c_trunc) <= 1e-8 * max(1.0, np.linalg.norm(c_full))
+    for s in (0.0, 0.3, 0.5):
+        for lam_p in (0.0, 0.2):
+            w_full = weighted_diff_norm(c1, c2, full, kscale, lam_p, s)
+            w_trunc = weighted_diff_norm(c1, c2, trunc, kscale, lam_p, s)
+            assert w_trunc == pytest.approx(w_full, rel=1e-8)
 
 
 def test_symmatrix_validation():

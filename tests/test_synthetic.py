@@ -24,7 +24,6 @@ from lepskii.synthetic import (
     lambda_star,
     model_from_dict,
     oracle_lambda_balance,
-    oracle_lambda_general,
     oracle_lambda_regular,
     polynomial_spectrum_model,
     rate_exponent,
@@ -165,27 +164,6 @@ def test_oracle_lambda_balance_matches_regular_within_factor_two():
     )
     lam_reg = oracle_lambda_regular(model, n)
     assert lam_reg / 2.0 <= lam_bal <= lam_reg * 2.0
-
-
-def test_oracle_lambda_general_reduces_to_regular():
-    # A(t) = t^{1/2}, b = 2: psi(t) = t^{5/4}, lambda = (1/sqrt(16))^{4/5}
-    lam = oracle_lambda_general(lambda t: t**0.5, 2.0, 16)
-    assert lam == pytest.approx((0.25) ** 0.8, abs=1e-8)
-    assert lam == pytest.approx(0.32988, abs=1e-5)
-
-
-def test_oracle_lambda_general_near_linear_index():
-    # A(t) = t with b huge: psi ~ t^{3/2}, lambda ~ n^{-1/3}
-    lam = oracle_lambda_general(lambda t: t, 1e6, 1000)
-    assert lam == pytest.approx(1000.0 ** (-1.0 / 3.0), rel=1e-3)
-
-
-def test_psi_monotone():
-    for b in (1.5, 2.0, 10.0):
-        expo = 0.5 * (1.0 / b + 1.0)
-        ts = np.geomspace(1e-8, 1.0, 40)
-        psi = ts**0.3 * ts**expo
-        assert np.all(np.diff(psi) > 0)
 
 
 def test_rate_exponent_values():
