@@ -29,17 +29,11 @@ from .errors import (
 )
 from .estimators import FilterMethod, TIKHONOV, fit_from_decomposition, predict
 from .grid import Grid, geometric_grid, heuristic_lambda0, lambda0_from_effdim
-from .kernels import (
-    Dataset,
-    KernelSpec,
-    feature_matrix,
-    gram_decomposition,
-    gram_eigenvalues,
-    gram_scale,
-)
+from .kernels import Dataset, KernelSpec, gram_decomposition, gram_eigenvalues, gram_scale
 from .synthetic import (
     ApproxErrorOracle,
     SyntheticModel,
+    estimator_basis_coefficients,
     generate,
     lambda_star,
     model_effdim_fn,
@@ -159,16 +153,17 @@ def _replication_rows(
                 fits, grid, dec, kscale, dataclasses.replace(cfg.balancing, s=0.0), n
             )
 
-            est_oracle = fit_from_decomposition(dec, kscale, data.ys, filt, lam_oracle)
-            # a_hat = Phi^T c as in estimator_basis_coefficients, with the n x D Phi built
-            # once and dropped before the hold-out fits build their own
-            phi_t = feature_matrix(kernel, data.xs).T
-            a_hats = {lam: phi_t @ est.c for lam, est in fits.items()}
-            a_oracle = phi_t @ est_oracle.c
-            del phi_t
+            a_hats = {
+                lam: estimator_basis_coefficients(est, model, data.xs)
+                for lam, est in fits.items()
+            }
             errs_s0 = {lam: true_error_norm(a, a_true, model.t_bar, 0.0) for lam, a in a_hats.items()}
             errs_s12 = {lam: true_error_norm(a, a_true, model.t_bar, 0.5) for lam, a in a_hats.items()}
-            err_oracle = true_error_norm(a_oracle, a_true, model.t_bar, 0.5)
+
+            est_oracle = fit_from_decomposition(dec, kscale, data.ys, filt, lam_oracle)
+            err_oracle = true_error_norm(
+                estimator_basis_coefficients(est_oracle, model, data.xs), a_true, model.t_bar, 0.5
+            )
 
             holdout_lam = holdout_select(data, cfg.holdout_fraction, grid, kernel, filt)
 

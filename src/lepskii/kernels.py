@@ -28,8 +28,6 @@ from .linalg import (
 
 # relative cutoff below which factor-route eigenvalues are treated as exact zeros
 _EIG_REL_CUTOFF = 1e-14
-# frequencies per block in trig_basis
-_TRIG_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -114,15 +112,10 @@ def trig_basis(xs: np.ndarray, size: int) -> np.ndarray:
     out = np.empty((xs.shape[0], size))
     out[:, 0] = 1.0
     root2 = np.sqrt(2.0)
-    # column 2k - 1 is sqrt(2) cos(2 pi k x) and column 2k is sqrt(2) sin(2 pi k x), for
-    # k = 1 .. size // 2 (the last sine only for odd size); the frequencies go in blocks
-    # so that each block of angles stays cache-sized
-    for start in range(1, size // 2 + 1, _TRIG_BLOCK):
-        stop = min(start + _TRIG_BLOCK, size // 2 + 1)
-        angle = xs[:, None] * (2.0 * np.pi * np.arange(start, stop))
-        out[:, 2 * start - 1 : 2 * stop - 1 : 2] = root2 * np.cos(angle)
-        n_sin = min(stop, (size + 1) // 2) - start
-        out[:, 2 * start : 2 * (start + n_sin) : 2] = root2 * np.sin(angle[:, :n_sin])
+    for col in range(1, size):
+        k = (col + 1) // 2
+        angle = 2.0 * np.pi * k * xs
+        out[:, col] = root2 * (np.cos(angle) if col % 2 == 1 else np.sin(angle))
     return out
 
 

@@ -80,19 +80,6 @@ def test_trig_basis_orthonormal_under_uniform_measure():
     assert np.allclose(e.T @ e / n, np.eye(size), atol=1e-12)
 
 
-@pytest.mark.parametrize("size", [1, 2, 3, 128, 129, 130, 131, 300])
-def test_trig_basis_columns_match_definition(size):
-    # column 2k - 1 is sqrt(2) cos(2 pi k x), column 2k is sqrt(2) sin(2 pi k x), bit for
-    # bit; the sizes straddle the blocks of frequencies trig_basis fills, odd and even
-    xs = np.random.default_rng(size).random(37)
-    e = trig_basis(xs, size)
-    assert e.shape == (37, size) and np.all(e[:, 0] == 1.0)
-    for col in range(1, size):
-        angle = 2.0 * np.pi * ((col + 1) // 2) * xs
-        expected = np.sqrt(2.0) * (np.cos(angle) if col % 2 == 1 else np.sin(angle))
-        assert np.array_equal(e[:, col], expected), col
-
-
 def test_normalized_gram_single_point_saturating():
     k = ExplicitSpectrumKernel(np.array([1.0]))  # K(x, x) = 1 = kappa^2
     g = normalized_gram(k, np.array([0.3]))
