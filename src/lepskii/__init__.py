@@ -12,7 +12,6 @@ from .balancing import (
     balancing_select,
     empirical_sample_error,
     estimate_sigma,
-    select_one_for_all,
 )
 from .effdim import (
     SampleErrorParams,
@@ -30,7 +29,6 @@ from .estimators import (
     LANDWEBER,
     SPECTRAL_CUTOFF,
     TIKHONOV,
-    EstimatorCoefficients,
     FilterMethod,
     filter_value,
     fit,

@@ -9,7 +9,6 @@ the smallest grid point is always accepted, so the result is well defined.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -17,13 +16,7 @@ import numpy as np
 
 from .effdim import SampleErrorParams, effdim_clamped, empirical_effdim, sample_error
 from .errors import DegenerateFitError, DomainViolationError, IncompleteFamilyError
-from .estimators import (
-    EstimatorCoefficients,
-    FilterMethod,
-    TIKHONOV,
-    _projected_norm_sq,
-    fit_from_decomposition,
-)
+from .estimators import FilterMethod, TIKHONOV, _projected_norm_sq, fit_from_decomposition
 from .grid import Grid
 from .kernels import Dataset, KernelSpec, gram_scale
 from .linalg import SpectralDecomposition
@@ -85,7 +78,7 @@ def empirical_sample_error(
 
 
 def balancing_select(
-    fits: Mapping[float, EstimatorCoefficients | np.ndarray],
+    fits: np.ndarray,
     grid: Grid | Sequence[float],
     dec: SpectralDecomposition,
     kscale: float,
@@ -95,18 +88,18 @@ def balancing_select(
     """Select lambda-hat = max{lambda in grid : all pairwise checks against smaller
     grid points pass}; the smallest grid point passes vacuously.
 
-    `grid` is usually a Grid but any ascending lambda sequence is accepted
+    `fits` holds one coefficient column per grid lambda, in grid order. `grid`
+    is usually a Grid but any ascending lambda sequence is accepted
     (degenerate single-point families included).
     """
     lams = [float(v) for v in (grid.lambdas if isinstance(grid, Grid) else grid)]
     if not lams or sorted(lams) != lams:
         raise IncompleteFamilyError("grid lambdas must be a nonempty ascending sequence")
-    coef = {}
-    for lam in lams:
-        if lam not in fits:
-            raise IncompleteFamilyError(f"no fit supplied for grid point {lam!r}")
-        entry = fits[lam]
-        coef[lam] = entry.c if isinstance(entry, EstimatorCoefficients) else np.asarray(entry, dtype=float)
+    fits = np.asarray(fits, dtype=float)
+    if fits.shape != (dec.dim, len(lams)):
+        raise IncompleteFamilyError(
+            f"expected one fit column per grid point, shape {(dec.dim, len(lams))}, got {fits.shape}"
+        )
 
     mult = cfg.threshold_multiplier(len(lams))
     thresholds = {
@@ -114,8 +107,7 @@ def balancing_select(
     }
 
     # one projection of all coefficient vectors onto the shared eigenbasis
-    cmat = np.column_stack([coef[lam] for lam in lams])
-    proj = dec.project(cmat)
+    proj = dec.project(fits)
 
     pairwise: dict[tuple[float, float], float] = {}
     accepted = []
@@ -140,19 +132,6 @@ def balancing_select(
     )
 
 
-def select_one_for_all(
-    fits: Mapping[float, EstimatorCoefficients | np.ndarray],
-    grid: Grid | Sequence[float],
-    dec: SpectralDecomposition,
-    kscale: float,
-    cfg: BalancingConfig,
-    n: int,
-) -> BalancingDiagnostics:
-    """Balancing in the L2 norm (s forced to 1/2); the selected lambda is then
-    used for every weaker-to-stronger interpolation norm."""
-    return balancing_select(fits, grid, dec, kscale, dataclasses.replace(cfg, s=0.5), n)
-
-
 def estimate_sigma(
     data: Dataset,
     k: KernelSpec,
@@ -169,12 +148,12 @@ def estimate_sigma(
     if n < 2:
         raise DegenerateFitError("need at least two observations")
     kscale = gram_scale(k, n)
-    est = fit_from_decomposition(dec, kscale, data.ys, method, lam)
+    c = fit_from_decomposition(dec, kscale, data.ys, method, lam)
     df = empirical_effdim(dec, lam)
     if df >= n:
         raise DegenerateFitError(f"degrees of freedom {df:.2f} >= n = {n}")
     # fitted values K c = kscale * G c, evaluated spectrally
     mu = dec.eigenvalues[: dec.rank]
-    fitted = kscale * (dec.vectors @ (mu * dec.project(est.c)))
+    fitted = kscale * (dec.vectors @ (mu * dec.project(c)))
     rss = float(np.sum((data.ys - fitted) ** 2))
     return max(np.sqrt(rss / (n - df)), 1e-12)

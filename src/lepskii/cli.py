@@ -13,6 +13,8 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .balancing import BalancingConfig, balancing_select
 from .effdim import empirical_effdim, model_effdim, two_sided_check
 from .errors import LepskiiError
@@ -125,10 +127,10 @@ def cmd_fit(args) -> int:
     data = read_dataset_csv(args.data)
     kernel = args.kernel
     dec = gram_decomposition(kernel, data.xs)
-    est = fit_from_decomposition(dec, gram_scale(kernel, data.n), data.ys, FILTERS[args.filter], args.lam)
-    preds = predict(est, kernel, data.xs, data.xs)
+    coef = fit_from_decomposition(dec, gram_scale(kernel, data.n), data.ys, FILTERS[args.filter], args.lam)
+    preds = predict(coef, kernel, data.xs, data.xs)
     lines = ["x,y,coefficient,prediction"]
-    for x, y, c, p in zip(data.xs, data.ys, est.c, preds):
+    for x, y, c, p in zip(data.xs, data.ys, coef, preds):
         lines.append(",".join(format_float(v) for v in (x, y, c, p)))
     _write_or_print("\n".join(lines) + "\n", args.out)
     return 0
@@ -151,10 +153,9 @@ def cmd_balance(args) -> int:
         bal_factor=args.bal_factor,
     )
     method = FILTERS[args.filter]
-    fits = {
-        float(lam): fit_from_decomposition(dec, kscale, data.ys, method, float(lam))
-        for lam in grid.lambdas
-    }
+    fits = np.column_stack(
+        [fit_from_decomposition(dec, kscale, data.ys, method, float(lam)) for lam in grid.lambdas]
+    )
     diag = balancing_select(fits, grid, dec, kscale, cfg, data.n)
     doc = {
         "lambda_hat": diag.lambda_hat,
@@ -182,7 +183,6 @@ def _experiment_config(doc: dict) -> ExperimentConfig:
     model = model_from_dict(doc["model"])
     bal = doc.get("balancing", {})
     cfg_bal = BalancingConfig(
-        s=float(bal.get("s", 0.5)),
         eta=float(bal.get("eta", 0.1)),
         sigma=float(bal.get("sigma", model.noise.sigma)),
         M_bound=float(bal.get("M", model.noise.M_bound)),
@@ -228,10 +228,6 @@ def cmd_rate(args) -> int:
     doc = {"column": args.column, "slope": fit.slope, "intercept": fit.intercept, "r2": fit.r2}
     _write_or_print(json.dumps(doc, indent=2) + "\n", args.out)
     return 0
-
-
-def _default_threads() -> int:
-    return int(os.environ.get("LEPSKII_THREADS", "1"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -294,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="full Monte-Carlo run from a config document")
     p.add_argument("--config", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--threads", type=int, default=_default_threads())
+    p.add_argument("--threads", type=int, default=os.environ.get("LEPSKII_THREADS", "1"))
     p.add_argument(
         "--timings",
         action="store_true",

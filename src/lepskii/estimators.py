@@ -43,21 +43,6 @@ LANDWEBER = FilterMethod("landweber", INFINITE_QUALIFICATION)
 FILTERS = {f.variant: f for f in (TIKHONOV, SPECTRAL_CUTOFF, LANDWEBER)}
 
 
-@dataclass(frozen=True)
-class EstimatorCoefficients:
-    """Kernel-expansion coefficients of a fitted estimator f = sum_j c_j K(x_j, .)."""
-
-    c: np.ndarray
-    lam: float
-    method: FilterMethod
-
-    def __post_init__(self):
-        c = np.asarray(self.c, dtype=float)
-        if not np.all(np.isfinite(c)):
-            raise DomainViolationError("coefficients contain non-finite values")
-        object.__setattr__(self, "c", c)
-
-
 def filter_value(m: FilterMethod, lam: float, t):
     """g_lam(t) for scalar or array t in [0, 1].
 
@@ -86,8 +71,9 @@ def fit_from_decomposition(
     ys: np.ndarray,
     method: FilterMethod,
     lam: float,
-) -> EstimatorCoefficients:
-    """Coefficients c = g_lam(G) y / (n kappa^2) using a precomputed decomposition of G."""
+) -> np.ndarray:
+    """Coefficients c = g_lam(G) y / (n kappa^2) of f = sum_j c_j K(x_j, .), using a
+    precomputed decomposition of G."""
     lam = check_lambda(lam)
     ys = np.asarray(ys, dtype=float)
     if ys.shape[0] != dec.dim:
@@ -98,27 +84,29 @@ def fit_from_decomposition(
     # g_lam(G) y = V diag(g(mu) - g(0)) V^T y + g(0) y, exact also for truncated V
     z = dec.project(ys)
     c = (dec.vectors @ ((g_mu - g0) * z) + g0 * ys) / kscale
-    return EstimatorCoefficients(c=c, lam=lam, method=method)
+    if not np.all(np.isfinite(c)):
+        raise DomainViolationError("coefficients contain non-finite values")
+    return c
 
 
-def fit(data: Dataset, k: KernelSpec, method: FilterMethod, lam: float) -> EstimatorCoefficients:
+def fit(data: Dataset, k: KernelSpec, method: FilterMethod, lam: float) -> np.ndarray:
     """Fit a spectral-filter estimator on a dataset."""
     dec = gram_decomposition(k, data.xs)
     return fit_from_decomposition(dec, gram_scale(k, data.n), data.ys, method, lam)
 
 
-def predict(
-    e: EstimatorCoefficients, k: KernelSpec, train_xs: np.ndarray, xs_new: np.ndarray
-) -> np.ndarray:
-    """Evaluate f(x) = sum_j c_j K(x_j, x) at query points."""
+def predict(c: np.ndarray, k: KernelSpec, train_xs: np.ndarray, xs_new: np.ndarray) -> np.ndarray:
+    """Evaluate f(x) = sum_j c_j K(x_j, x) at query points; a coefficient matrix
+    (one estimator per column) gives one column of values per estimator."""
+    c = np.asarray(c, dtype=float)
     train_xs = np.asarray(train_xs, dtype=float)
-    if e.c.shape[0] != train_xs.shape[0]:
+    if c.shape[0] != train_xs.shape[0]:
         raise DimensionMismatchError("coefficient length does not match training points")
     if isinstance(k, ExplicitSpectrumKernel):
         # feature route avoids the n_new x n_train kernel matrix
-        w = feature_matrix(k, train_xs).T @ e.c
+        w = feature_matrix(k, train_xs).T @ c
         return feature_matrix(k, np.asarray(xs_new, dtype=float)) @ w
-    return cross_gram(k, np.asarray(xs_new, dtype=float), train_xs) @ e.c
+    return cross_gram(k, np.asarray(xs_new, dtype=float), train_xs) @ c
 
 
 def weighted_diff_norm(

@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .balancing import BalancingConfig, balancing_select, select_one_for_all
+from .balancing import BalancingConfig, balancing_select
 from .effdim import empirical_effdim, model_effdim, two_sided_check
 from .errors import (
     DegenerateSplitError,
@@ -98,14 +98,12 @@ def holdout_select(
     xs_va, ys_va = data.xs[n_train:], data.ys[n_train:]
     dec = gram_decomposition(k, xs_tr)
     kscale = gram_scale(k, n_train)
-    best_lam, best_mse = None, np.inf
-    for lam in grid.lambdas:
-        est = fit_from_decomposition(dec, kscale, ys_tr, m, float(lam))
-        resid = ys_va - predict(est, k, xs_tr, xs_va)
-        mse = float(np.mean(resid**2))
-        if mse <= best_mse:  # <= so the larger lambda wins ties
-            best_lam, best_mse = float(lam), mse
-    return best_lam
+    fits = np.column_stack(
+        [fit_from_decomposition(dec, kscale, ys_tr, m, float(lam)) for lam in grid.lambdas]
+    )
+    mse = np.mean((ys_va[:, None] - predict(fits, k, xs_tr, xs_va)) ** 2, axis=0)
+    # last index of the minimum, so the larger lambda wins ties
+    return float(grid.lambdas[np.flatnonzero(mse == mse.min())[-1]])
 
 
 def _replication_rows(
@@ -144,41 +142,37 @@ def _replication_rows(
         row = ExperimentRow(n=n, replication=rep, filter=filt.variant)
         t_f = time.perf_counter()
         try:
-            fits = {
-                float(lam): fit_from_decomposition(dec, kscale, data.ys, filt, float(lam))
-                for lam in grid.lambdas
-            }
-            diag_half = select_one_for_all(fits, grid, dec, kscale, cfg.balancing, n)
-            diag_zero = balancing_select(
-                fits, grid, dec, kscale, dataclasses.replace(cfg.balancing, s=0.0), n
+            # one coefficient column per grid lambda, in grid order
+            fits = np.column_stack(
+                [fit_from_decomposition(dec, kscale, data.ys, filt, float(lam)) for lam in grid.lambdas]
+            )
+            # one-for-all: the L2 (s = 1/2) choice is used in every norm; s = 0 is its comparison
+            diag_half, diag_zero = (
+                balancing_select(fits, grid, dec, kscale, dataclasses.replace(cfg.balancing, s=s), n)
+                for s in (0.5, 0.0)
             )
 
-            a_hats = {
-                lam: estimator_basis_coefficients(est, model, data.xs)
-                for lam, est in fits.items()
-            }
-            errs_s0 = {lam: true_error_norm(a, a_true, model.t_bar, 0.0) for lam, a in a_hats.items()}
-            errs_s12 = {lam: true_error_norm(a, a_true, model.t_bar, 0.5) for lam, a in a_hats.items()}
-
-            est_oracle = fit_from_decomposition(dec, kscale, data.ys, filt, lam_oracle)
-            err_oracle = true_error_norm(
-                estimator_basis_coefficients(est_oracle, model, data.xs), a_true, model.t_bar, 0.5
-            )
+            c_oracle = fit_from_decomposition(dec, kscale, data.ys, filt, lam_oracle)
+            a_hats = estimator_basis_coefficients(np.column_stack([fits, c_oracle]), model, data.xs)
+            errs_s0 = [true_error_norm(a, a_true, model.t_bar, 0.0) for a in a_hats[:, :-1].T]
+            errs_s12 = [true_error_norm(a, a_true, model.t_bar, 0.5) for a in a_hats[:, :-1].T]
+            err_oracle = true_error_norm(a_hats[:, -1], a_true, model.t_bar, 0.5)
 
             holdout_lam = holdout_select(data, cfg.holdout_fraction, grid, kernel, filt)
 
+            at = grid.lambdas.tolist().index
             row.lambda_hat_half = diag_half.lambda_hat
             row.lambda_hat_zero = diag_zero.lambda_hat
             row.lambda_star = lam_star
             row.lambda_oracle = lam_oracle
-            row.err_s0_at_hat = errs_s0[diag_zero.lambda_hat]
-            row.err_s12_at_hat = errs_s12[diag_half.lambda_hat]
-            row.err_min_over_grid_s0 = min(errs_s0.values())
-            row.err_min_over_grid_s12 = min(errs_s12.values())
+            row.err_s0_at_hat = errs_s0[at(diag_zero.lambda_hat)]
+            row.err_s12_at_hat = errs_s12[at(diag_half.lambda_hat)]
+            row.err_min_over_grid_s0 = min(errs_s0)
+            row.err_min_over_grid_s12 = min(errs_s12)
             row.err_at_oracle = err_oracle
             row.holdout_lambda = holdout_lam
-            row.err_at_holdout = errs_s12[holdout_lam]
-            row.err_s0_at_hat_half = errs_s0[diag_half.lambda_hat]
+            row.err_at_holdout = errs_s12[at(holdout_lam)]
+            row.err_s0_at_hat_half = errs_s0[at(diag_half.lambda_hat)]
         except (LepskiiError, np.linalg.LinAlgError) as exc:
             row.error = f"{type(exc).__name__}: {exc}"
         row.wall_time_ms = shared_ms + (time.perf_counter() - t_f) * 1000.0

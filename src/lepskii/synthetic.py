@@ -30,7 +30,6 @@ from .errors import (
     InvalidLambdaError,
     NoCrossingError,
 )
-from .estimators import EstimatorCoefficients
 from .grid import BISECTION_LO, BISECTION_MAX_ITER, Grid
 from .kernels import Dataset, ExplicitSpectrumKernel, feature_matrix, kappa_squared
 
@@ -199,15 +198,15 @@ def generate(model: SyntheticModel, n: int, seed: int) -> GeneratedSample:
 
 
 def estimator_basis_coefficients(
-    est: EstimatorCoefficients | np.ndarray, model: SyntheticModel, train_xs: np.ndarray
+    c: np.ndarray, model: SyntheticModel, train_xs: np.ndarray
 ) -> np.ndarray:
-    """Expand a fitted estimator in the model eigenbasis: a_hat = Phi^T c.
+    """Expand fitted estimators in the model eigenbasis: a_hat = Phi^T c.
 
     With Phi[j,i] = sqrt(kappa^2 t_bar_i) e_i(x_j), the kernel expansion
-    sum_j c_j K(x_j, .) has H-orthonormal coordinates (Phi^T c)_i.
+    sum_j c_j K(x_j, .) has H-orthonormal coordinates (Phi^T c)_i; a coefficient
+    matrix (one estimator per column) gives one column of coordinates each.
     """
-    c = est.c if isinstance(est, EstimatorCoefficients) else np.asarray(est, dtype=float)
-    return feature_matrix(model.kernel(), train_xs).T @ c
+    return feature_matrix(model.kernel(), train_xs).T @ np.asarray(c, dtype=float)
 
 
 def true_error_norm(a_hat: np.ndarray, a: np.ndarray, t_bar: np.ndarray, s: float) -> float:

@@ -170,12 +170,12 @@ def test_c7_exact_property_suites(capsys):
         model = polynomial_spectrum_model(b=2.0, size=40, sigma=0.3, h="spread")
         sample = generate(model, 30, seed=seed)
         k = model.kernel()
-        est = fit_from_decomposition(
+        c = fit_from_decomposition(
             gram_decomposition(k, sample.data.xs), gram_scale(k, 30), sample.data.ys, TIKHONOV, 0.07
         )
         kmat = gram(k, sample.data.xs)
         direct = np.linalg.solve(kmat + 30 * kappa_squared(k) * 0.07 * np.eye(30), sample.data.ys)
-        if np.linalg.norm(est.c - direct) > 1e-8 * np.linalg.norm(direct):
+        if np.linalg.norm(c - direct) > 1e-8 * np.linalg.norm(direct):
             failures.append(f"fit-vs-solve seed {seed}")
 
     # (b) empirical effective dimension: eigenvalue sum equals the direct-trace solve, 1e-9
@@ -239,10 +239,9 @@ def test_c7_exact_property_suites(capsys):
         dec = gram_decomposition(kernel, sample.data.xs)
         kscale = gram_scale(kernel, 30)
         grid = geometric_grid(0.04, 2.0)
-        fits = {
-            float(lam): fit_from_decomposition(dec, kscale, sample.data.ys, TIKHONOV, float(lam))
-            for lam in grid.lambdas
-        }
+        fits = np.column_stack(
+            [fit_from_decomposition(dec, kscale, sample.data.ys, TIKHONOV, float(lam)) for lam in grid.lambdas]
+        )
         cfg = BalancingConfig(
             s=float(rng.uniform(0.0, 0.5)),
             sigma=0.4,
@@ -252,9 +251,7 @@ def test_c7_exact_property_suites(capsys):
         diag = balancing_select(fits, grid, dec, kscale, cfg, 30)
         g_dense = normalized_gram(kernel, sample.data.xs).values
         lams = [float(v) for v in grid.lambdas]
-        hat, accepted = brute_force_jplus(
-            {lam: fits[lam].c for lam in lams}, lams, g_dense, kscale, cfg, 30
-        )
+        hat, accepted = brute_force_jplus(dict(zip(lams, fits.T)), lams, g_dense, kscale, cfg, 30)
         if diag.lambda_hat != hat or list(diag.jplus) != accepted:
             failures.append(f"balancing-oracle seed {seed}")
 

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -9,7 +7,6 @@ from lepskii.balancing import (
     balancing_select,
     empirical_sample_error,
     estimate_sigma,
-    select_one_for_all,
 )
 from lepskii.errors import DomainViolationError, IncompleteFamilyError
 from lepskii.estimators import TIKHONOV, fit_from_decomposition
@@ -50,7 +47,7 @@ def _instance(seed, n=30, d=12, sigma=0.3):
 
 
 def _fit_family(dec, kscale, ys, lams):
-    return {float(lam): fit_from_decomposition(dec, kscale, ys, TIKHONOV, float(lam)) for lam in lams}
+    return np.column_stack([fit_from_decomposition(dec, kscale, ys, TIKHONOV, float(lam)) for lam in lams])
 
 
 def test_singleton_grid_returns_lambda0():
@@ -64,7 +61,7 @@ def test_identical_fits_select_top():
     model, sample, kernel, dec, kscale = _instance(1)
     grid = geometric_grid(0.01, 2.0)
     one = fit_from_decomposition(dec, kscale, sample.data.ys, TIKHONOV, 0.5)
-    fits = {float(lam): one for lam in grid.lambdas}
+    fits = np.column_stack([one] * grid.size)
     diag = balancing_select(fits, grid, dec, kscale, BalancingConfig(sigma=0.3), 30)
     assert diag.lambda_hat == 1.0
     assert diag.jplus == tuple(float(v) for v in grid.lambdas)
@@ -80,12 +77,16 @@ def test_lambda0_always_accepted():
         assert diag.lambda_hat == max(diag.jplus)
 
 
-def test_incomplete_family_rejected():
+def test_wrong_shape_family_rejected():
     model, sample, kernel, dec, kscale = _instance(2)
     grid = geometric_grid(0.1, 2.0)
-    fits = _fit_family(dec, kscale, sample.data.ys, grid.lambdas[:-1])
-    with pytest.raises(IncompleteFamilyError):
-        balancing_select(fits, grid, dec, kscale, BalancingConfig(sigma=0.3), 30)
+    fits = _fit_family(dec, kscale, sample.data.ys, grid.lambdas)
+    cfg = BalancingConfig(sigma=0.3)
+    # a missing grid column, transposed storage, a short sample axis, a single vector
+    for bad in (fits[:, :-1], fits.T, fits[:-1], fits[:, 0]):
+        with pytest.raises(IncompleteFamilyError):
+            balancing_select(bad, grid, dec, kscale, cfg, 30)
+    assert balancing_select(fits, grid, dec, kscale, cfg, 30).lambda_hat in grid.lambdas
 
 
 @pytest.mark.slow
@@ -103,27 +104,11 @@ def test_balancing_matches_brute_force_oracle():
         diag = balancing_select(fits, grid, dec, kscale, cfg, 30)
         g_dense = normalized_gram(kernel, sample.data.xs).values
         lams = [float(v) for v in grid.lambdas]
-        coeffs = {lam: fits[lam].c for lam in lams}
-        hat, accepted = brute_force_jplus(coeffs, lams, g_dense, kscale, cfg, 30)
+        hat, accepted = brute_force_jplus(dict(zip(lams, fits.T)), lams, g_dense, kscale, cfg, 30)
         assert diag.lambda_hat == hat
         assert list(diag.jplus) == accepted
         mismatches += int(diag.lambda_hat != hat)
     assert mismatches == 0
-
-
-def test_one_for_all_is_s_half():
-    model, sample, kernel, dec, kscale = _instance(3)
-    grid = geometric_grid(0.02, 2.0)
-    fits = _fit_family(dec, kscale, sample.data.ys, grid.lambdas)
-    cfg = BalancingConfig(s=0.2, sigma=0.3)
-    via_one = select_one_for_all(fits, grid, dec, kscale, cfg, 30)
-    direct = balancing_select(fits, grid, dec, kscale, dataclasses.replace(cfg, s=0.5), 30)
-    assert via_one.lambda_hat == direct.lambda_hat
-    assert via_one.s == 0.5
-    single = select_one_for_all(
-        _fit_family(dec, kscale, sample.data.ys, [1.0]), [1.0], dec, kscale, cfg, 30
-    )
-    assert single.lambda_hat == 1.0
 
 
 def test_selection_deterministic():
@@ -203,7 +188,7 @@ def test_estimate_sigma_constant_target_closed_form():
     est = estimate_sigma(data, kernel, dec, lam=lam)
     # closed-form residual check of the same quantity
     kscale = gram_scale(kernel, 60)
-    c = fit_from_decomposition(dec, kscale, ys, TIKHONOV, lam).c
+    c = fit_from_decomposition(dec, kscale, ys, TIKHONOV, lam)
     fitted = gram(kernel, xs) @ c
     df = float(np.sum(dec.eigenvalues / (dec.eigenvalues + lam)))
     expected = np.sqrt(np.sum((ys - fitted) ** 2) / (60 - df))

@@ -113,6 +113,18 @@ def test_grid_command(tmp_path, model_file):
     assert doc2["lambdas"][0] <= 0.03
 
 
+def test_malformed_threads_environment_is_a_usage_error_of_experiment_only(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("LEPSKII_THREADS", "two")
+    assert dispatch(["grid", "--n", "50", "--lambda0", "0.01", "--out", str(tmp_path / "g.json")]) == 0
+    with pytest.raises(SystemExit) as exc:
+        dispatch(["experiment", "--config", str(tmp_path / "cfg.json"), "--out-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "invalid int value: 'two'" in capsys.readouterr().err
+    # an explicit flag wins over the environment; the missing config is then a domain error
+    argv = ["experiment", "--config", str(tmp_path / "cfg.json"), "--out-dir", str(tmp_path)]
+    assert dispatch(argv + ["--threads", "1"]) == 1
+
+
 def test_fit_command_csv(tmp_path, model_file):
     data = tmp_path / "d.csv"
     dispatch(["simulate", "--model", model_file, "--n", "30", "--seed", "3", "--out", str(data)])
@@ -151,10 +163,9 @@ def test_balance_cli_matches_library(tmp_path, model_file):
     kscale = gram_scale(kernel, data.n)
     lam0 = heuristic_lambda0(dec, data.n, 1.5)
     grid = geometric_grid(lam0, 1.5)
-    fits = {
-        float(lam): fit_from_decomposition(dec, kscale, data.ys, TIKHONOV, float(lam))
-        for lam in grid.lambdas
-    }
+    fits = np.column_stack(
+        [fit_from_decomposition(dec, kscale, data.ys, TIKHONOV, float(lam)) for lam in grid.lambdas]
+    )
     diag = balancing_select(fits, grid, dec, kscale, BalancingConfig(sigma=0.3, eta=0.1), data.n)
     assert doc["lambda_hat"] == diag.lambda_hat
     assert doc["jplus"] == list(diag.jplus)
@@ -168,7 +179,7 @@ def test_experiment_command_roundtrip_and_determinism(tmp_path, model_file):
         "replications": 2,
         "seed_base": 4,
         "grid_q": 2.0,
-        "balancing": {"s": 0.5, "eta": 0.1},
+        "balancing": {"eta": 0.1},
         "filters": ["tikhonov"],
     }
     cfg_path = tmp_path / "cfg.json"

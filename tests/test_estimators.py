@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lepskii.errors import DimensionMismatchError, InvalidLambdaError
+from lepskii.errors import DimensionMismatchError, DomainViolationError, InvalidLambdaError
 from lepskii.estimators import (
     LANDWEBER,
     SPECTRAL_CUTOFF,
@@ -64,16 +64,15 @@ def test_filter_nonneg_and_residual_bound(m, lam, t):
 def test_fit_scalar_case():
     data = Dataset(xs=np.array([0.0]), ys=np.array([2.0]))
     k = ExplicitSpectrumKernel(np.array([1.0]))  # K = [1], kappa^2 = 1
-    est = fit(data, k, TIKHONOV, 1.0)
-    assert est.c == pytest.approx([1.0])
-    assert (1.0 + 1.0) * est.c[0] == pytest.approx(2.0)  # (K + n kappa^2 lam) c = y
+    c = fit(data, k, TIKHONOV, 1.0)
+    assert c == pytest.approx([1.0])
+    assert (1.0 + 1.0) * c[0] == pytest.approx(2.0)  # (K + n kappa^2 lam) c = y
 
 
 def test_fit_zero_data():
     rng = np.random.default_rng(0)
     data = Dataset(xs=rng.random(12), ys=np.zeros(12))
-    est = fit(data, GaussianKernel(0.4), TIKHONOV, 0.3)
-    assert np.allclose(est.c, 0.0)
+    assert np.allclose(fit(data, GaussianKernel(0.4), TIKHONOV, 0.3), 0.0)
 
 
 def test_tikhonov_fit_matches_direct_solve():
@@ -81,12 +80,12 @@ def test_tikhonov_fit_matches_direct_solve():
     sample = generate(model, 20, seed=42)
     k = model.kernel()
     lam = 0.1
-    est = fit(sample.data, k, TIKHONOV, lam)
+    c = fit(sample.data, k, TIKHONOV, lam)
     kmat = gram(k, sample.data.xs)
     direct = np.linalg.solve(kmat + 20 * kappa_squared(k) * lam * np.eye(20), sample.data.ys)
-    assert np.linalg.norm(est.c - direct) <= 1e-8 * np.linalg.norm(direct)
+    assert np.linalg.norm(c - direct) <= 1e-8 * np.linalg.norm(direct)
     # residual form of the same contract
-    resid = (kmat + 20 * kappa_squared(k) * lam * np.eye(20)) @ est.c - sample.data.ys
+    resid = (kmat + 20 * kappa_squared(k) * lam * np.eye(20)) @ c - sample.data.ys
     assert np.linalg.norm(resid) <= 1e-8 * np.linalg.norm(sample.data.ys)
 
 
@@ -95,10 +94,10 @@ def test_tikhonov_fit_matches_direct_solve_factor_route():
     model = polynomial_spectrum_model(b=2.0, size=10, sigma=0.2)
     sample = generate(model, 40, seed=3)
     k = model.kernel()
-    est = fit(sample.data, k, TIKHONOV, 0.05)
+    c = fit(sample.data, k, TIKHONOV, 0.05)
     kmat = gram(k, sample.data.xs)
     direct = np.linalg.solve(kmat + 40 * kappa_squared(k) * 0.05 * np.eye(40), sample.data.ys)
-    assert np.linalg.norm(est.c - direct) <= 1e-8 * max(np.linalg.norm(direct), 1e-12)
+    assert np.linalg.norm(c - direct) <= 1e-8 * max(np.linalg.norm(direct), 1e-12)
 
 
 def test_predict_trivia():
@@ -106,11 +105,7 @@ def test_predict_trivia():
     xs = np.array([0.2, 0.5])
     zero = fit(Dataset(xs=xs, ys=np.zeros(2)), k, TIKHONOV, 0.5)
     assert np.allclose(predict(zero, k, xs, np.array([0.1, 0.9])), 0.0)
-
-    from lepskii.estimators import EstimatorCoefficients
-
-    single = EstimatorCoefficients(c=np.array([1.0]), lam=0.5, method=TIKHONOV)
-    assert predict(single, k, np.array([0.3]), np.array([0.3]))[0] == pytest.approx(
+    assert predict(np.array([1.0]), k, np.array([0.3]), np.array([0.3]))[0] == pytest.approx(
         float(gram(k, np.array([0.3]))[0, 0])
     )
 
@@ -119,17 +114,40 @@ def test_predict_training_points_equal_kc():
     model = polynomial_spectrum_model(b=2.0, size=15, sigma=0.1)
     sample = generate(model, 25, seed=5)
     k = model.kernel()
-    est = fit(sample.data, k, LANDWEBER, 0.2)
-    preds = predict(est, k, sample.data.xs, sample.data.xs)
-    assert np.allclose(preds, gram(k, sample.data.xs) @ est.c, atol=1e-10)
+    c = fit(sample.data, k, LANDWEBER, 0.2)
+    preds = predict(c, k, sample.data.xs, sample.data.xs)
+    assert np.allclose(preds, gram(k, sample.data.xs) @ c, atol=1e-10)
+
+
+@pytest.mark.parametrize("kernel", ["gaussian", "explicit"])
+def test_predict_coefficient_matrix_matches_vector_calls(kernel):
+    model = polynomial_spectrum_model(b=2.0, size=15, sigma=0.1)
+    sample = generate(model, 40, seed=6)  # n > D: explicit kernel on the factor route
+    k = GaussianKernel(0.3) if kernel == "gaussian" else model.kernel()
+    dec = gram_decomposition(k, sample.data.xs)
+    kscale = gram_scale(k, 40)
+    lams = (0.01, 0.1, 1.0)
+    cmat = np.column_stack([fit_from_decomposition(dec, kscale, sample.data.ys, TIKHONOV, lam) for lam in lams])
+    xs_new = np.linspace(0.0, 1.0, 7)
+    preds = predict(cmat, k, sample.data.xs, xs_new)
+    assert preds.shape == (7, len(lams))
+    for j in range(len(lams)):
+        vec = predict(cmat[:, j], k, sample.data.xs, xs_new)
+        assert np.linalg.norm(preds[:, j] - vec) <= 1e-12 * np.linalg.norm(vec)
 
 
 def test_predict_dimension_mismatch():
-    from lepskii.estimators import EstimatorCoefficients
+    for c in (np.array([1.0, 2.0]), np.ones((2, 3))):
+        with pytest.raises(DimensionMismatchError):
+            predict(c, GaussianKernel(1.0), np.array([0.1]), np.array([0.2]))
 
-    est = EstimatorCoefficients(c=np.array([1.0, 2.0]), lam=0.5, method=TIKHONOV)
-    with pytest.raises(DimensionMismatchError):
-        predict(est, GaussianKernel(1.0), np.array([0.1]), np.array([0.2]))
+
+def test_fit_non_finite_coefficients_rejected():
+    k = GaussianKernel(0.5)
+    xs = np.array([0.1, 0.4, 0.8])
+    dec = gram_decomposition(k, xs)
+    with pytest.raises(DomainViolationError, match="non-finite"):
+        fit_from_decomposition(dec, gram_scale(k, 3), np.array([1.0, np.nan, 0.0]), TIKHONOV, 0.1)
 
 
 def _scalar_setup():
@@ -215,4 +233,4 @@ def test_fit_from_decomposition_shared_across_lambdas():
     for lam in (0.05, 0.2, 1.0):
         shared = fit_from_decomposition(dec, kscale, sample.data.ys, TIKHONOV, lam)
         direct = fit(sample.data, k, TIKHONOV, lam)
-        assert np.allclose(shared.c, direct.c, atol=1e-12)
+        assert np.allclose(shared, direct, atol=1e-12)

@@ -45,8 +45,8 @@ def test_holdout_brute_force_agreement():
         kscale = gram_scale(kernel, n_tr)
         best, best_mse = None, np.inf
         for cand in grid.lambdas:
-            est = fit_from_decomposition(dec, kscale, ys_tr, TIKHONOV, float(cand))
-            mse = float(np.mean((ys_va - predict(est, kernel, xs_tr, xs_va)) ** 2))
+            c = fit_from_decomposition(dec, kscale, ys_tr, TIKHONOV, float(cand))
+            mse = float(np.mean((ys_va - predict(c, kernel, xs_tr, xs_va)) ** 2))
             if mse <= best_mse:
                 best, best_mse = float(cand), mse
         assert lam == best
@@ -235,6 +235,42 @@ def test_run_experiment_tags_failed_per_n_setup():
     ]
     assert all(r.error.startswith("EmptyJError: ") for r in rows)
     assert summarize(rows)["failed_rows"] == 4
+
+
+def test_run_experiment_balances_at_s_half_and_zero_whatever_s_is_configured():
+    # one-for-all: the L2 (s = 1/2) selection is the one used in every norm
+    rows = {
+        s: run_experiment(_tiny_config(balancing=BalancingConfig(s=s, sigma=0.3, M_bound=0.3, bal_factor=2.0)))
+        for s in (0.2, 0.5)
+    }
+    assert rows_to_csv(rows[0.2]) == rows_to_csv(rows[0.5])
+    # the selector responds to s on this instance, so the equality is not vacuous
+    assert any(r.lambda_hat_half != r.lambda_hat_zero for r in rows[0.5])
+
+
+def test_replication_feature_matrix_builds_do_not_grow_with_the_grid(monkeypatch):
+    # Phi is built once each for generate, the Gram factor, the truth coefficients of
+    # all grid fits and the oracle fit, the hold-out factor, and both sides of the one
+    # hold-out predict; n >= 2 D + 2 keeps the hold-out half on the factor route too
+    from lepskii import estimators, kernels, synthetic
+
+    calls = []
+    original = kernels.feature_matrix
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in (kernels, synthetic, estimators):
+        monkeypatch.setattr(module, "feature_matrix", counted)
+    model = polynomial_spectrum_model(b=2.0, size=20, sigma=0.3)
+    counts = {}
+    for lam0 in (0.1, 0.001):
+        calls.clear()
+        (row,) = run_experiment(_tiny_config(model=model, n_values=(60,), replications=1, lambda0_mode=lam0))
+        assert row.error == ""
+        counts[geometric_grid(lam0, 2.0).size] = len(calls)
+    assert counts == {5: 6, 11: 6}
 
 
 def test_run_experiment_multiple_filters():

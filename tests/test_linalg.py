@@ -146,8 +146,8 @@ def test_truncated_decomposition_matches_full():
     kscale = 5.0
     for method in FILTERS.values():
         for lam in (0.1, 0.5):
-            c_full = fit_from_decomposition(full, kscale, ys, method, lam).c
-            c_trunc = fit_from_decomposition(trunc, kscale, ys, method, lam).c
+            c_full = fit_from_decomposition(full, kscale, ys, method, lam)
+            c_trunc = fit_from_decomposition(trunc, kscale, ys, method, lam)
             assert np.linalg.norm(c_full - c_trunc) <= 1e-8 * max(1.0, np.linalg.norm(c_full))
     for s in (0.0, 0.3, 0.5):
         for lam_p in (0.0, 0.2):

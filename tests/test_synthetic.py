@@ -93,27 +93,38 @@ def test_estimator_expansion_gram_identity():
     for seed in range(5):
         model = polynomial_spectrum_model(b=2.0, size=40, sigma=0.2, h="spread")
         sample = generate(model, 30, seed=seed)
-        est = fit(sample.data, model.kernel(), TIKHONOV, 0.05)
-        a_hat = estimator_basis_coefficients(est, model, sample.data.xs)
+        c = fit(sample.data, model.kernel(), TIKHONOV, 0.05)
+        a_hat = estimator_basis_coefficients(c, model, sample.data.xs)
         a = sample.target_coeffs
         via_norm = true_error_norm(a_hat, a, model.t_bar, 0.0)
         kmat = gram(model.kernel(), sample.data.xs)
         f_at_xs = target_values(model, sample.data.xs)
-        gram_sq = est.c @ kmat @ est.c - 2.0 * est.c @ f_at_xs + float(a @ a)
+        gram_sq = c @ kmat @ c - 2.0 * c @ f_at_xs + float(a @ a)
         assert via_norm**2 == pytest.approx(gram_sq, rel=1e-8, abs=1e-12)
+
+
+def test_estimator_basis_coefficients_matrix_matches_vector_calls():
+    model = polynomial_spectrum_model(b=2.0, size=25, sigma=0.2, h="spread")
+    sample = generate(model, 60, seed=4)
+    cmat = np.column_stack([fit(sample.data, model.kernel(), TIKHONOV, lam) for lam in (0.02, 0.2, 1.0)])
+    a_hats = estimator_basis_coefficients(cmat, model, sample.data.xs)
+    assert a_hats.shape == (25, 3)
+    for j in range(3):
+        vec = estimator_basis_coefficients(cmat[:, j], model, sample.data.xs)
+        assert np.linalg.norm(a_hats[:, j] - vec) <= 1e-12 * np.linalg.norm(vec)
 
 
 def test_s_half_norm_matches_l2_quadrature():
     # s = 1/2 interpolation norm equals the L2(nu) error norm divided by kappa
     model = polynomial_spectrum_model(b=2.0, size=30, sigma=0.3, h="spread")
     sample = generate(model, 50, seed=3)
-    est = fit(sample.data, model.kernel(), TIKHONOV, 0.1)
-    a_hat = estimator_basis_coefficients(est, model, sample.data.xs)
+    c = fit(sample.data, model.kernel(), TIKHONOV, 0.1)
+    a_hat = estimator_basis_coefficients(c, model, sample.data.xs)
     norm_half = true_error_norm(a_hat, sample.target_coeffs, model.t_bar, 0.5)
     grid = (np.arange(10_000) + 0.5) / 10_000
     from lepskii.estimators import predict
 
-    err_fn = predict(est, model.kernel(), sample.data.xs, grid) - target_values(model, grid)
+    err_fn = predict(c, model.kernel(), sample.data.xs, grid) - target_values(model, grid)
     l2 = np.sqrt(np.mean(err_fn**2))
     assert norm_half == pytest.approx(l2 / np.sqrt(model.kappa2), rel=0.01)
 
