@@ -38,7 +38,13 @@ from .kernels import (
     gram_scale,
     read_dataset_csv,
 )
-from .synthetic import generate, load_model_json, model_effdim_fn, model_from_dict
+from .synthetic import (
+    generate,
+    load_model_json,
+    model_effdim_fn,
+    model_from_dict,
+    reject_unknown_keys,
+)
 
 
 def parse_kernel(text: str):
@@ -180,8 +186,18 @@ def cmd_simulate(args) -> int:
 
 
 def _experiment_config(doc: dict) -> ExperimentConfig:
+    reject_unknown_keys(
+        doc,
+        ("model", "n_values", "replications", "seed_base", "grid_q", "balancing", "filters",
+         "lambda0_mode", "holdout_fraction", "outputs"),
+        "the experiment config",
+    )
     model = model_from_dict(doc["model"])
-    bal = doc.get("balancing", {})
+    bal = reject_unknown_keys(
+        doc.get("balancing", {}),
+        ("eta", "sigma", "M", "c_s", "constant_mode", "bal_factor"),
+        "balancing",
+    )
     cfg_bal = BalancingConfig(
         eta=float(bal.get("eta", 0.1)),
         sigma=float(bal.get("sigma", model.noise.sigma)),
@@ -203,7 +219,7 @@ def _experiment_config(doc: dict) -> ExperimentConfig:
         filters=tuple(FILTERS[name] for name in doc.get("filters", ["tikhonov"])),
         lambda0_mode=mode,
         holdout_fraction=float(doc.get("holdout_fraction", 0.5)),
-        outputs=doc.get("outputs", {}),
+        outputs=reject_unknown_keys(doc.get("outputs", {}), ("results", "summary"), "outputs"),
     )
 
 

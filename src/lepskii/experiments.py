@@ -101,6 +101,7 @@ def holdout_select(
     fits = np.column_stack(
         [fit_from_decomposition(dec, kscale, ys_tr, m, float(lam)) for lam in grid.lambdas]
     )
+    del dec  # release the n_train x rank eigenvectors before predict builds its matrices
     mse = np.mean((ys_va[:, None] - predict(fits, k, xs_tr, xs_va)) ** 2, axis=0)
     # last index of the minimum, so the larger lambda wins ties
     return float(grid.lambdas[np.flatnonzero(mse == mse.min())[-1]])
@@ -124,7 +125,7 @@ def _replication_rows(
 
     t_start = time.perf_counter()
     try:
-        dec = gram_decomposition(kernel, data.xs)
+        dec = gram_decomposition(kernel, data.xs, sample.features)
         kscale = gram_scale(kernel, n)
         if fixed_grid is None:
             lam0 = heuristic_lambda0(dec, n, cfg.grid_q)
@@ -137,10 +138,12 @@ def _replication_rows(
         return _failed_rows(cfg, n, rep, exc)
     shared_ms = (time.perf_counter() - t_start) * 1000.0
 
-    rows = []
+    at = grid.lambdas.tolist().index
+    rows, grid_errs_s12 = [], []
     for filt in cfg.filters:
         row = ExperimentRow(n=n, replication=rep, filter=filt.variant)
         t_f = time.perf_counter()
+        errs_s12 = None
         try:
             # one coefficient column per grid lambda, in grid order
             fits = np.column_stack(
@@ -153,14 +156,11 @@ def _replication_rows(
             )
 
             c_oracle = fit_from_decomposition(dec, kscale, data.ys, filt, lam_oracle)
-            a_hats = estimator_basis_coefficients(np.column_stack([fits, c_oracle]), model, data.xs)
+            a_hats = estimator_basis_coefficients(np.column_stack([fits, c_oracle]), sample.features)
             errs_s0 = [true_error_norm(a, a_true, model.t_bar, 0.0) for a in a_hats[:, :-1].T]
             errs_s12 = [true_error_norm(a, a_true, model.t_bar, 0.5) for a in a_hats[:, :-1].T]
             err_oracle = true_error_norm(a_hats[:, -1], a_true, model.t_bar, 0.5)
 
-            holdout_lam = holdout_select(data, cfg.holdout_fraction, grid, kernel, filt)
-
-            at = grid.lambdas.tolist().index
             row.lambda_hat_half = diag_half.lambda_hat
             row.lambda_hat_zero = diag_zero.lambda_hat
             row.lambda_star = lam_star
@@ -170,14 +170,32 @@ def _replication_rows(
             row.err_min_over_grid_s0 = min(errs_s0)
             row.err_min_over_grid_s12 = min(errs_s12)
             row.err_at_oracle = err_oracle
-            row.holdout_lambda = holdout_lam
-            row.err_at_holdout = errs_s12[at(holdout_lam)]
             row.err_s0_at_hat_half = errs_s0[at(diag_half.lambda_hat)]
         except (LepskiiError, np.linalg.LinAlgError) as exc:
             row.error = f"{type(exc).__name__}: {exc}"
         row.wall_time_ms = shared_ms + (time.perf_counter() - t_f) * 1000.0
         shared_ms = 0.0  # decomposition cost attributed to the first filter only
         rows.append(row)
+        grid_errs_s12.append(errs_s12)
+
+    # The hold-out factors its own half of the points. Release the n-row Phi and
+    # eigenvectors first: held through the hold-out, they raise the peak memory.
+    del sample, dec
+    for i, (filt, errs_s12) in enumerate(zip(cfg.filters, grid_errs_s12)):
+        if rows[i].error:
+            continue
+        t_h = time.perf_counter()
+        try:
+            holdout_lam = holdout_select(data, cfg.holdout_fraction, grid, kernel, filt)
+            rows[i].holdout_lambda = holdout_lam
+            rows[i].err_at_holdout = errs_s12[at(holdout_lam)]
+        except (LepskiiError, np.linalg.LinAlgError) as exc:
+            # a failed row carries no values, whichever stage failed
+            rows[i] = ExperimentRow(
+                n=n, replication=rep, filter=filt.variant, wall_time_ms=rows[i].wall_time_ms,
+                error=f"{type(exc).__name__}: {exc}",
+            )
+        rows[i].wall_time_ms += (time.perf_counter() - t_h) * 1000.0
     return rows
 
 

@@ -17,7 +17,12 @@ from typing import Union
 
 import numpy as np
 
-from .errors import DomainViolationError, EmptySpectrumError, NonFiniteError
+from .errors import (
+    DimensionMismatchError,
+    DomainViolationError,
+    EmptySpectrumError,
+    NonFiniteError,
+)
 from .linalg import (
     SpectralDecomposition,
     SymMatrix,
@@ -28,6 +33,8 @@ from .linalg import (
 
 # relative cutoff below which factor-route eigenvalues are treated as exact zeros
 _EIG_REL_CUTOFF = 1e-14
+# frequencies per block in trig_basis
+_TRIG_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -112,10 +119,16 @@ def trig_basis(xs: np.ndarray, size: int) -> np.ndarray:
     out = np.empty((xs.shape[0], size))
     out[:, 0] = 1.0
     root2 = np.sqrt(2.0)
-    for col in range(1, size):
-        k = (col + 1) // 2
-        angle = 2.0 * np.pi * k * xs
-        out[:, col] = root2 * (np.cos(angle) if col % 2 == 1 else np.sin(angle))
+    # column 2k - 1 holds the cosine and column 2k the sine of frequency k; frequencies are
+    # filled _TRIG_BLOCK at a time so each block of angles stays cache-sized, with the same
+    # per-element products as one column at a time
+    n_freq = size // 2
+    for lo in range(1, n_freq + 1, _TRIG_BLOCK):
+        hi = min(lo + _TRIG_BLOCK, n_freq + 1)
+        angle = xs[:, None] * (2.0 * np.pi * np.arange(lo, hi))
+        out[:, 2 * lo - 1 : 2 * hi - 1 : 2] = root2 * np.cos(angle)
+        n_sin = min(hi, (size + 1) // 2) - lo  # the top sine exists only for odd size
+        out[:, 2 * lo : 2 * (lo + n_sin) : 2] = root2 * np.sin(angle[:, :n_sin])
     return out
 
 
@@ -188,37 +201,61 @@ def gram_scale(k: KernelSpec, n: int) -> float:
     return n * kappa_squared(k)
 
 
-def _factor_route(k: KernelSpec, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+def _factor_route(
+    k: KernelSpec, xs: np.ndarray, features: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray] | None:
     """(Phi / sqrt(n kappa^2), its symmetrised D x D Gram) for explicit-spectrum
-    kernels with n > D, where G = Phi Phi^T / (n kappa^2) has rank <= D; else None."""
+    kernels with n > D, where G = Phi Phi^T / (n kappa^2) has rank <= D; else None.
+
+    `features`, when given, is feature_matrix(k, xs), built by the caller; it is read
+    and never written.
+    """
     n = xs.shape[0]
     if not (isinstance(k, ExplicitSpectrumKernel) and n > k.size):
         return None
-    phi = feature_matrix(k, xs) / np.sqrt(gram_scale(k, n))
+    scale = np.sqrt(gram_scale(k, n))
+    if features is None:
+        phi = feature_matrix(k, xs)
+        phi /= scale
+    else:
+        if features.shape != (n, k.size):
+            raise DimensionMismatchError(
+                f"features of shape {features.shape} do not match {n} points and {k.size} modes"
+            )
+        phi = features / scale
     c = phi.T @ phi
-    return phi, 0.5 * (c + c.T)
+    c += c.T
+    c *= 0.5
+    return phi, c
 
 
-def gram_decomposition(k: KernelSpec, xs: np.ndarray) -> SpectralDecomposition:
+def gram_decomposition(
+    k: KernelSpec, xs: np.ndarray, features: np.ndarray | None = None
+) -> SpectralDecomposition:
     """Spectral decomposition of the normalized Gram matrix G.
 
     For explicit-spectrum kernels with n > D this goes through the n x D
     feature factor (eigendecomposing Phi^T Phi / (n kappa^2), D x D) instead
     of the n x n matrix; results agree with the dense route up to round-off.
+    A caller that already holds Phi = feature_matrix(k, xs) passes it as
+    `features` so it is not built again; other routes ignore it.
     """
     xs = _check_domain(k, xs)
-    factor = _factor_route(k, xs)
+    factor = _factor_route(k, xs, features)
     if factor is None:
         return sym_eigendecompose(normalized_gram(k, xs), normalized=True)
     phi, c = factor
+    del factor
     vals, vecs = np.linalg.eigh(c)
+    del c
     vals = vals[::-1]
-    vecs = vecs[:, ::-1]
     keep = vals > max(vals[0], 0.0) * _EIG_REL_CUTOFF
     vals = _clamp_unit_interval(vals[keep])
+    w = vecs[:, ::-1][:, keep]
+    del vecs  # only the kept copy w is needed for the lift
     # lift factor-space eigenvectors to data space: u = phi w / sqrt(nu)
-    u = phi @ (vecs[:, keep] / np.sqrt(vals))
-    return truncated_decomposition(vals, u, dim=xs.shape[0])
+    w /= np.sqrt(vals)
+    return truncated_decomposition(vals, phi @ w, dim=xs.shape[0])
 
 
 def gram_eigenvalues(k: KernelSpec, xs: np.ndarray) -> np.ndarray:

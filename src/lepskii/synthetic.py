@@ -179,6 +179,9 @@ def custom_spectrum_model(
 class GeneratedSample:
     data: Dataset
     target_coeffs: np.ndarray
+    # Phi = feature_matrix(model.kernel(), data.xs), n x D; reused by the Gram factor
+    # and the truth coefficients so one replication builds it once
+    features: np.ndarray
 
 
 def target_values(model: SyntheticModel, xs: np.ndarray) -> np.ndarray:
@@ -193,20 +196,24 @@ def generate(model: SyntheticModel, n: int, seed: int) -> GeneratedSample:
     rng = np.random.default_rng(seed)
     xs = rng.random(n)
     noise = rng.standard_normal(n) * model.noise.sigma
-    ys = target_values(model, xs) + noise
-    return GeneratedSample(data=Dataset(xs=xs, ys=ys), target_coeffs=model.target_coefficients())
+    phi = feature_matrix(model.kernel(), xs)
+    a = model.target_coefficients()
+    ys = phi @ a + noise
+    return GeneratedSample(data=Dataset(xs=xs, ys=ys), target_coeffs=a, features=phi)
 
 
-def estimator_basis_coefficients(
-    c: np.ndarray, model: SyntheticModel, train_xs: np.ndarray
-) -> np.ndarray:
+def estimator_basis_coefficients(c: np.ndarray, features: np.ndarray) -> np.ndarray:
     """Expand fitted estimators in the model eigenbasis: a_hat = Phi^T c.
 
-    With Phi[j,i] = sqrt(kappa^2 t_bar_i) e_i(x_j), the kernel expansion
-    sum_j c_j K(x_j, .) has H-orthonormal coordinates (Phi^T c)_i; a coefficient
-    matrix (one estimator per column) gives one column of coordinates each.
+    With `features` Phi[j,i] = sqrt(kappa^2 t_bar_i) e_i(x_j) at the training points
+    (GeneratedSample.features), the kernel expansion sum_j c_j K(x_j, .) has
+    H-orthonormal coordinates (Phi^T c)_i; a coefficient matrix (one estimator per
+    column) gives one column of coordinates each.
     """
-    return feature_matrix(model.kernel(), train_xs).T @ np.asarray(c, dtype=float)
+    c = np.asarray(c, dtype=float)
+    if c.shape[0] != features.shape[0]:
+        raise DimensionMismatchError("coefficient length does not match training points")
+    return features.T @ c
 
 
 def true_error_norm(a_hat: np.ndarray, a: np.ndarray, t_bar: np.ndarray, s: float) -> float:
@@ -349,10 +356,24 @@ def load_model_json(path: str | Path) -> SyntheticModel:
     return model_from_dict(doc)
 
 
+def reject_unknown_keys(doc: dict, known: tuple[str, ...], where: str) -> dict:
+    """Return the document section `doc` after checking that it is a JSON object whose
+    keys are all in `known`; a misspelt key would otherwise be read as its default."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where} must be a JSON object, got {doc!r}")
+    unknown = sorted(set(doc) - set(known))
+    if unknown:
+        raise ValueError(
+            f"unknown key {', '.join(map(repr, unknown))} in {where} (known: {', '.join(known)})"
+        )
+    return doc
+
+
 def model_from_dict(doc: dict) -> SyntheticModel:
-    spec = doc.get("spectrum", {})
-    src = doc.get("source", {})
-    noise = doc.get("noise", {})
+    reject_unknown_keys(doc, ("spectrum", "source", "noise"), "the model document")
+    spec = reject_unknown_keys(doc.get("spectrum", {}), ("type", "b", "D", "t"), "spectrum")
+    src = reject_unknown_keys(doc.get("source", {}), ("type", "r", "R", "h"), "source")
+    noise = reject_unknown_keys(doc.get("noise", {}), ("sigma", "M"), "noise")
     r = float(src.get("r", 0.5))
     R = float(src.get("R", 1.0))
     h = src.get("h", "single")

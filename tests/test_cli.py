@@ -204,6 +204,31 @@ def test_experiment_command_roundtrip_and_determinism(tmp_path, model_file):
     assert {"slope", "intercept", "r2", "column"} <= set(doc)
 
 
+@pytest.mark.parametrize(
+    "section, typo",
+    [
+        (None, "filtres"),
+        ("balancing", "bal_factr"),
+        ("spectrum", "DD"),
+        ("source", "radius"),
+        ("noise", "sgima"),
+        ("outputs", "result"),
+    ],
+)
+def test_experiment_config_rejects_unknown_keys(tmp_path, capsys, section, typo):
+    # a misspelt key used to be ignored and its setting silently left at the default
+    model = json.loads(json.dumps(MODEL_DOC))
+    cfg = {"model": model, "n_values": [60], "replications": 1, "balancing": {"eta": 0.1}, "outputs": {}}
+    sections = {None: cfg, "balancing": cfg["balancing"], "outputs": cfg["outputs"], **model}
+    sections[section][typo] = 1.0
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    code = dispatch(["experiment", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1 and "bad input document" in err and repr(typo) in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_console_script_entry():
     import subprocess, sys
 

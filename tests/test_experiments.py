@@ -10,6 +10,7 @@ from lepskii.estimators import LANDWEBER, TIKHONOV, fit_from_decomposition, pred
 from lepskii.experiments import (
     ExperimentConfig,
     ExperimentRow,
+    RESULT_COLUMNS,
     bernstein_bound,
     concentration_experiment,
     fit_rate,
@@ -237,6 +238,17 @@ def test_run_experiment_tags_failed_per_n_setup():
     assert summarize(rows)["failed_rows"] == 4
 
 
+def test_run_experiment_failed_holdout_row_carries_only_its_tag():
+    # the hold-out runs after every filter's other columns; its failure still blanks the row
+    cfg = _tiny_config(n_values=(60,), replications=1, filters=(TIKHONOV, LANDWEBER), holdout_fraction=1.0)
+    rows = run_experiment(cfg)
+    assert [r.filter for r in rows] == ["tikhonov", "landweber"]
+    for row in rows:
+        assert row.error.startswith("DegenerateSplitError: ") and row.wall_time_ms > 0
+        values = [c for c in RESULT_COLUMNS if c not in ("n", "replication", "filter", "wall_time_ms", "error")]
+        assert all(np.isnan(getattr(row, col)) for col in values)
+
+
 def test_run_experiment_balances_at_s_half_and_zero_whatever_s_is_configured():
     # one-for-all: the L2 (s = 1/2) selection is the one used in every norm
     rows = {
@@ -249,28 +261,29 @@ def test_run_experiment_balances_at_s_half_and_zero_whatever_s_is_configured():
 
 
 def test_replication_feature_matrix_builds_do_not_grow_with_the_grid(monkeypatch):
-    # Phi is built once each for generate, the Gram factor, the truth coefficients of
-    # all grid fits and the oracle fit, the hold-out factor, and both sides of the one
-    # hold-out predict; n >= 2 D + 2 keeps the hold-out half on the factor route too
+    # Phi is built once on all n points, by generate, and reused by the Gram factor and
+    # the truth coefficients of all grid fits and the oracle fit; the hold-out builds its
+    # own n/2-row factor and both sides of its one predict. n >= 2 D + 2 keeps the
+    # hold-out half on the factor route too
     from lepskii import estimators, kernels, synthetic
 
-    calls = []
+    row_counts = []
     original = kernels.feature_matrix
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+    def counted(k, xs):
+        row_counts.append(len(xs))
+        return original(k, xs)
 
     for module in (kernels, synthetic, estimators):
         monkeypatch.setattr(module, "feature_matrix", counted)
     model = polynomial_spectrum_model(b=2.0, size=20, sigma=0.3)
-    counts = {}
+    builds = {}
     for lam0 in (0.1, 0.001):
-        calls.clear()
+        row_counts.clear()
         (row,) = run_experiment(_tiny_config(model=model, n_values=(60,), replications=1, lambda0_mode=lam0))
         assert row.error == ""
-        counts[geometric_grid(lam0, 2.0).size] = len(calls)
-    assert counts == {5: 6, 11: 6}
+        builds[geometric_grid(lam0, 2.0).size] = list(row_counts)
+    assert builds == {5: [60, 30, 30, 30], 11: [60, 30, 30, 30]}
 
 
 def test_run_experiment_multiple_filters():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lepskii.errors import DomainViolationError, NotPositiveSemiDefiniteError
+from lepskii.errors import DimensionMismatchError, DomainViolationError, NotPositiveSemiDefiniteError
 from lepskii.kernels import (
     Dataset,
     ExplicitSpectrumKernel,
@@ -80,6 +80,21 @@ def test_trig_basis_orthonormal_under_uniform_measure():
     assert np.allclose(e.T @ e / n, np.eye(size), atol=1e-12)
 
 
+@pytest.mark.parametrize("n", [1, 37])
+@pytest.mark.parametrize("size", [1, 2, 3, 64, 65, 128, 129, 130, 1000, 1001])
+def test_trig_basis_columns_match_definition(size, n):
+    # column 2k - 1 is sqrt(2) cos(2 pi k x), column 2k is sqrt(2) sin(2 pi k x), bit for
+    # bit; the sizes straddle the blocks of frequencies trig_basis fills, odd and even
+    xs = np.random.default_rng(size).random(n)
+    e = trig_basis(xs, size)
+    expected = np.empty((n, size))
+    expected[:, 0] = 1.0
+    for col in range(1, size):
+        angle = 2.0 * np.pi * ((col + 1) // 2) * xs
+        expected[:, col] = np.sqrt(2.0) * (np.cos(angle) if col % 2 == 1 else np.sin(angle))
+    assert np.array_equal(e.view(np.uint64), expected.view(np.uint64))
+
+
 def test_normalized_gram_single_point_saturating():
     k = ExplicitSpectrumKernel(np.array([1.0]))  # K(x, x) = 1 = kappa^2
     g = normalized_gram(k, np.array([0.3]))
@@ -131,6 +146,21 @@ def test_factor_route_matches_dense_route():
     # lifted eigenvectors stay orthonormal
     gram_u = dec.vectors.T @ dec.vectors
     assert np.linalg.norm(gram_u - np.eye(dec.rank)) <= 1e-8
+
+
+@pytest.mark.parametrize("n", [5, 25], ids=["dense", "factor"])  # D = 7
+def test_prebuilt_features_give_the_same_decomposition(n):
+    k = ExplicitSpectrumKernel(np.arange(1, 8, dtype=float) ** -2.0)
+    xs = np.random.default_rng(n).random(n)
+    phi = feature_matrix(k, xs)
+    before = phi.copy()
+    built, reused = gram_decomposition(k, xs), gram_decomposition(k, xs, phi)
+    assert np.array_equal(built.eigenvalues, reused.eigenvalues)
+    assert np.array_equal(built.vectors, reused.vectors)
+    assert np.array_equal(phi, before)  # the caller's matrix is read, never written
+    if n > k.size:  # only the factor route reads the features
+        with pytest.raises(DimensionMismatchError):
+            gram_decomposition(k, xs, phi[:, :-1])
 
 
 @pytest.mark.parametrize("n", [5, 25], ids=["dense", "factor"])  # D = 7

@@ -10,7 +10,7 @@ from lepskii.errors import (
 )
 from lepskii.estimators import TIKHONOV, fit
 from lepskii.grid import Grid, geometric_grid
-from lepskii.kernels import gram, kappa_squared
+from lepskii.kernels import feature_matrix, gram, kappa_squared
 from lepskii.synthetic import (
     ApproxErrorOracle,
     HolderSource,
@@ -41,6 +41,14 @@ def test_generate_deterministic():
     assert np.array_equal(a.data.ys, b.data.ys)
     c = generate(model, 100, seed=8)
     assert not np.array_equal(a.data.ys, c.data.ys)
+
+
+def test_generate_features_are_the_model_feature_matrix():
+    # the Gram factor and the truth coefficients reuse these in place of their own build
+    model = polynomial_spectrum_model(b=2.0, size=50)
+    sample = generate(model, 100, seed=7)
+    expected = feature_matrix(model.kernel(), sample.data.xs)
+    assert np.array_equal(sample.features.view(np.uint64), expected.view(np.uint64))
 
 
 def test_generate_noiseless_exact():
@@ -94,7 +102,7 @@ def test_estimator_expansion_gram_identity():
         model = polynomial_spectrum_model(b=2.0, size=40, sigma=0.2, h="spread")
         sample = generate(model, 30, seed=seed)
         c = fit(sample.data, model.kernel(), TIKHONOV, 0.05)
-        a_hat = estimator_basis_coefficients(c, model, sample.data.xs)
+        a_hat = estimator_basis_coefficients(c, sample.features)
         a = sample.target_coeffs
         via_norm = true_error_norm(a_hat, a, model.t_bar, 0.0)
         kmat = gram(model.kernel(), sample.data.xs)
@@ -107,10 +115,10 @@ def test_estimator_basis_coefficients_matrix_matches_vector_calls():
     model = polynomial_spectrum_model(b=2.0, size=25, sigma=0.2, h="spread")
     sample = generate(model, 60, seed=4)
     cmat = np.column_stack([fit(sample.data, model.kernel(), TIKHONOV, lam) for lam in (0.02, 0.2, 1.0)])
-    a_hats = estimator_basis_coefficients(cmat, model, sample.data.xs)
+    a_hats = estimator_basis_coefficients(cmat, sample.features)
     assert a_hats.shape == (25, 3)
     for j in range(3):
-        vec = estimator_basis_coefficients(cmat[:, j], model, sample.data.xs)
+        vec = estimator_basis_coefficients(cmat[:, j], sample.features)
         assert np.linalg.norm(a_hats[:, j] - vec) <= 1e-12 * np.linalg.norm(vec)
 
 
@@ -119,7 +127,7 @@ def test_s_half_norm_matches_l2_quadrature():
     model = polynomial_spectrum_model(b=2.0, size=30, sigma=0.3, h="spread")
     sample = generate(model, 50, seed=3)
     c = fit(sample.data, model.kernel(), TIKHONOV, 0.1)
-    a_hat = estimator_basis_coefficients(c, model, sample.data.xs)
+    a_hat = estimator_basis_coefficients(c, sample.features)
     norm_half = true_error_norm(a_hat, sample.target_coeffs, model.t_bar, 0.5)
     grid = (np.arange(10_000) + 0.5) / 10_000
     from lepskii.estimators import predict
