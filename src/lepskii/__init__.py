@@ -6,88 +6,32 @@ synthetic ground-truth models and a Monte-Carlo harness that checks the
 concentration, oracle and rate properties the selector is supposed to have.
 """
 
-from .balancing import (
-    BalancingConfig,
-    BalancingDiagnostics,
-    balancing_select,
-    empirical_sample_error,
-    estimate_sigma,
-)
-from .effdim import (
-    SampleErrorParams,
-    TwoSidedCheck,
-    effdim_clamped,
-    empirical_effdim,
-    model_effdim,
-    model_sample_error,
-    sample_error,
-    two_sided_check,
-)
+# The top-level surface is what README's library sketch uses, plus predict,
+# estimator_basis_coefficients, estimate_sigma and the error base class; everything
+# else is reached through its submodule (lepskii.experiments, lepskii.kernels, ...).
+from .balancing import BalancingConfig, balancing_select, estimate_sigma
+from .effdim import model_effdim
 from .errors import LepskiiError
-from .estimators import (
-    FILTERS,
-    LANDWEBER,
-    SPECTRAL_CUTOFF,
-    TIKHONOV,
-    FilterMethod,
-    filter_value,
-    fit,
-    fit_from_decomposition,
-    predict,
-    weighted_diff_norm,
-)
-from .experiments import (
-    ConcentrationSummary,
-    ExperimentConfig,
-    ExperimentRow,
-    RateFit,
-    bernstein_bound,
-    concentration_experiment,
-    fit_rate,
-    holdout_select,
-    loglog_fit,
-    run_experiment,
-)
-from .grid import (
-    Grid,
-    GridValidation,
-    geometric_grid,
-    heuristic_lambda0,
-    lambda0_from_effdim,
-    validate_grid_conditions,
-)
-from .kernels import (
-    Dataset,
-    ExplicitSpectrumKernel,
-    GaussianKernel,
-    PolynomialKernel,
-    gram_decomposition,
-    gram_eigenvalues,
-    gram_scale,
-    kappa_squared,
-    kernel_eval,
-    normalized_gram,
-)
-from .linalg import (
-    SpectralDecomposition,
-    sym_eigendecompose,
-)
-from .synthetic import (
-    ApproxErrorOracle,
-    HolderSource,
-    IndexFunctionSource,
-    SyntheticModel,
-    approx_error,
-    custom_spectrum_model,
-    estimator_basis_coefficients,
-    generate,
-    lambda_star,
-    oracle_lambda_balance,
-    oracle_lambda_regular,
-    polynomial_spectrum_model,
-    rate_exponent,
-    true_error_norm,
-)
+from .estimators import TIKHONOV, fit_from_decomposition, predict
+from .grid import geometric_grid, lambda0_from_effdim
+from .kernels import gram_decomposition, gram_scale
+from .synthetic import estimator_basis_coefficients, generate, polynomial_spectrum_model
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "BalancingConfig",
+    "LepskiiError",
+    "TIKHONOV",
+    "balancing_select",
+    "estimate_sigma",
+    "estimator_basis_coefficients",
+    "fit_from_decomposition",
+    "generate",
+    "geometric_grid",
+    "gram_decomposition",
+    "gram_scale",
+    "lambda0_from_effdim",
+    "model_effdim",
+    "polynomial_spectrum_model",
+    "predict",
+]
 __version__ = "0.1.0"

@@ -39,6 +39,7 @@ from .kernels import (
     read_dataset_csv,
 )
 from .synthetic import (
+    check_choice,
     generate,
     load_model_json,
     model_effdim_fn,
@@ -203,7 +204,9 @@ def _experiment_config(doc: dict) -> ExperimentConfig:
         sigma=float(bal.get("sigma", model.noise.sigma)),
         M_bound=float(bal.get("M", model.noise.M_bound)),
         c_s=float(bal.get("c_s", 1.0)),
-        use_theoretical_constant=bal.get("constant_mode", "practical") == "theoretical",
+        use_theoretical_constant=check_choice(
+            bal.get("constant_mode", "practical"), ("practical", "theoretical"), "balancing.constant_mode"
+        ) == "theoretical",
         bal_factor=float(bal.get("bal_factor", 20.0)),
     )
     mode = doc.get("lambda0_mode", "model")
@@ -216,7 +219,9 @@ def _experiment_config(doc: dict) -> ExperimentConfig:
         seed_base=int(doc.get("seed_base", 0)),
         grid_q=float(doc.get("grid_q", 2.0)),
         balancing=cfg_bal,
-        filters=tuple(FILTERS[name] for name in doc.get("filters", ["tikhonov"])),
+        filters=tuple(
+            FILTERS[check_choice(v, tuple(FILTERS), "filters")] for v in doc.get("filters", ["tikhonov"])
+        ),
         lambda0_mode=mode,
         holdout_fraction=float(doc.get("holdout_fraction", 0.5)),
         outputs=reject_unknown_keys(doc.get("outputs", {}), ("results", "summary"), "outputs"),
@@ -328,7 +333,7 @@ def dispatch(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (LepskiiError, FileNotFoundError) as exc:
+    except (LepskiiError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, KeyError, json.JSONDecodeError) as exc:

@@ -69,24 +69,17 @@ def effdim_clamped(value: float) -> float:
     return max(float(value), 1.0)
 
 
-def sample_error(
-    p: SampleErrorParams, effdim_clamped_val: float, lam: float, include_remainder: bool = True
-) -> float:
-    """sigma sqrt(clamped_N / (n lambda)), plus the remainder M/(n lambda) when flagged."""
+def sample_error(p: SampleErrorParams, effdim_clamped_val: float, lam: float) -> float:
+    """S(n, lambda) = sigma sqrt(clamped_N / (n lambda)) + M / (n lambda)."""
     lam = check_lambda(lam)
     if effdim_clamped_val < 1.0:
         raise DomainViolationError("clamped effective dimension must be >= 1")
-    value = p.sigma * np.sqrt(effdim_clamped_val / (p.n * lam))
-    if include_remainder:
-        value += p.M_bound / (p.n * lam)
-    return float(value)
+    return float(p.sigma * np.sqrt(effdim_clamped_val / (p.n * lam)) + p.M_bound / (p.n * lam))
 
 
-def model_sample_error(
-    p: SampleErrorParams, t_bar: np.ndarray, lam: float, include_remainder: bool = True
-) -> float:
-    """S(n, lambda) (optionally + M/(n lambda)) for a declared model spectrum."""
-    return sample_error(p, effdim_clamped(model_effdim(t_bar, lam)), lam, include_remainder)
+def model_sample_error(p: SampleErrorParams, t_bar: np.ndarray, lam: float) -> float:
+    """S(n, lambda) for a declared model spectrum."""
+    return sample_error(p, effdim_clamped(model_effdim(t_bar, lam)), lam)
 
 
 @dataclass(frozen=True)

@@ -130,7 +130,7 @@ def _replication_rows(
         if fixed_grid is None:
             lam0 = heuristic_lambda0(dec, n, cfg.grid_q)
             grid = geometric_grid(lam0, cfg.grid_q)
-            lam_star = lambda_star(grid, oracle, effdim_fn, model.params(n), n)
+            lam_star = lambda_star(grid, oracle, effdim_fn, model.params(n))
         else:
             grid = fixed_grid
             lam_star = fixed_lambda_star
@@ -221,7 +221,7 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1, progress=None) -> li
     with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
         for n in cfg.n_values:
             try:
-                lam_oracle = oracle_lambda_balance(oracle, effdim_fn, model.params(n), n)
+                lam_oracle = oracle_lambda_balance(oracle, effdim_fn, model.params(n))
                 if cfg.lambda0_mode == "heuristic":
                     fixed_grid, fixed_star = None, None
                 else:
@@ -230,7 +230,7 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1, progress=None) -> li
                     else:
                         lam0 = float(cfg.lambda0_mode)
                     fixed_grid = geometric_grid(lam0, cfg.grid_q)
-                    fixed_star = lambda_star(fixed_grid, oracle, effdim_fn, model.params(n), n)
+                    fixed_star = lambda_star(fixed_grid, oracle, effdim_fn, model.params(n))
             except LepskiiError as exc:
                 for rep in range(cfg.replications):
                     all_rows.extend(_failed_rows(cfg, n, rep, exc))

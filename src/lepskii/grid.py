@@ -24,7 +24,7 @@ from .linalg import SpectralDecomposition
 
 BISECTION_LO = 1e-16
 BISECTION_MAX_ITER = 200
-BISECTION_RTOL = 1e-10
+HEURISTIC_THRESHOLD = 5.0
 
 
 @dataclass(frozen=True)
@@ -69,6 +69,19 @@ def geometric_grid(lambda0_target: float, q: float) -> Grid:
     return Grid(lambdas=lams, q=float(q))
 
 
+def _bisect_increasing(fn: Callable[[float], float], lo: float, hi: float) -> float:
+    """Root of an increasing function with fn(lo) <= 0 <= fn(hi), to ~1e-10 relative."""
+    for _ in range(BISECTION_MAX_ITER):
+        mid = 0.5 * (lo + hi)
+        if fn(mid) > 0.0:
+            hi = mid
+        else:
+            lo = mid
+        if hi - lo <= 1e-12 * hi:
+            break
+    return 0.5 * (lo + hi)
+
+
 def lambda0_from_effdim(effdim_fn: Callable[[float], float], n: int) -> float:
     """Solve n lambda = N(lambda) by bisection of the monotone map lambda -> n lambda - N(lambda)."""
     if n < 1:
@@ -77,55 +90,34 @@ def lambda0_from_effdim(effdim_fn: Callable[[float], float], n: int) -> float:
     def f(lam: float) -> float:
         return n * lam - effdim_fn(lam)
 
-    lo, hi = BISECTION_LO, 1.0
-    if f(lo) > 0.0:
+    if f(BISECTION_LO) > 0.0:
         raise NoRootError("n*lambda exceeds N(lambda) at the lower bracket; spectrum too small for this n")
-    if f(hi) < 0.0:
+    if f(1.0) < 0.0:
         raise NoRootError("N(lambda) exceeds n*lambda at lambda = 1; no root in (0, 1]")
-    for _ in range(BISECTION_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        val = f(mid)
-        if abs(val) <= BISECTION_RTOL * n * mid:
-            return mid
-        if val > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    return _bisect_increasing(f, BISECTION_LO, 1.0)
 
 
-def heuristic_lambda0(
-    spectrum: SpectralDecomposition | np.ndarray,
-    n: int,
-    q: float,
-    threshold: float = 5.0,
-    sigma: float | None = None,
-) -> float:
-    """Data-driven smallest grid point: walk lambda_j = q^{-j} down from 1 and stop
-    at the first j where the empirical sample-error proxy reaches the threshold.
-
-    Default is the sigma-free criterion sqrt(max(N_x, 1) / (n lambda)) >= threshold,
-    so the stopping point characterizes the spectrum rather than the noise scale;
-    passing sigma restores the sigma-scaled form.
+def heuristic_lambda0(spectrum: SpectralDecomposition | np.ndarray, n: int, q: float) -> float:
+    """Data-driven smallest grid point: walk lambda_j = q^{-j} down from 1 and stop at
+    the first j where the sample-error proxy sqrt(max(N_x, 1) / (n lambda)) reaches
+    HEURISTIC_THRESHOLD. The proxy leaves out sigma, so the stopping point
+    characterizes the spectrum rather than the noise scale.
     """
     if not q > 1.0:
         raise InvalidRatioError(f"ratio q must exceed 1, got {q}")
-    sigma_eff = 1.0 if sigma is None else float(sigma)
-    # clamping makes the criterion certain to fire by lambda <= sigma_eff^2/(n thr^2),
-    # so the abort floor never truncates a walk that must succeed
-    if threshold > 0.0 and sigma_eff > 0.0:
-        floor = min(1.0 / n**2, sigma_eff**2 / (q * n * threshold**2))
-    else:
-        floor = 1.0 / n**2
+    # clamping makes the criterion certain to fire by lambda <= 1/(n thr^2), so the
+    # abort floor never truncates a walk that must succeed; it stops a walk whose
+    # proxy never compares true (a NaN spectrum)
+    floor = min(1.0 / n**2, 1.0 / (q * n * HEURISTIC_THRESHOLD**2))
     j = 1
     while True:
         lam = q ** (-j)
-        proxy = sigma_eff * np.sqrt(effdim_clamped(empirical_effdim(spectrum, lam)) / (n * lam))
-        if proxy >= threshold:
+        proxy = np.sqrt(effdim_clamped(empirical_effdim(spectrum, lam)) / (n * lam))
+        if proxy >= HEURISTIC_THRESHOLD:
             return float(lam)
         if lam < floor:
             raise NotReachedError(
-                f"sample-error proxy never reached {threshold} before lambda fell below {floor:.3e}"
+                f"sample-error proxy never reached {HEURISTIC_THRESHOLD} before lambda fell below {floor:.3e}"
             )
         j += 1
 

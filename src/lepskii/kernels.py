@@ -151,11 +151,6 @@ def feature_matrix(k: ExplicitSpectrumKernel, xs: np.ndarray) -> np.ndarray:
     return trig_basis(xs, k.size) * np.sqrt(k.eigenvalues)
 
 
-def kernel_eval(k: KernelSpec, x: float, y: float) -> float:
-    """Evaluate K(x, y) at a single pair of points."""
-    return float(cross_gram(k, np.array([x]), np.array([y]))[0, 0])
-
-
 def cross_gram(k: KernelSpec, xs_a: np.ndarray, xs_b: np.ndarray) -> np.ndarray:
     """Matrix K(a_i, b_j) for two point sets."""
     xs_a = _check_domain(k, xs_a)
@@ -285,6 +280,8 @@ def _read_dataset(fh) -> Dataset:
     for row in reader:
         if not row:
             continue
+        if len(row) < 2:
+            raise DomainViolationError(f"dataset CSV line {reader.line_num} has no y value")
         xs.append(float(row[0]))
         ys.append(float(row[1]))
     if not xs:

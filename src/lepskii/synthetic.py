@@ -27,10 +27,9 @@ from .errors import (
     DomainViolationError,
     EmptyJError,
     FullJError,
-    InvalidLambdaError,
     NoCrossingError,
 )
-from .grid import BISECTION_LO, BISECTION_MAX_ITER, Grid
+from .grid import BISECTION_LO, Grid, _bisect_increasing
 from .kernels import Dataset, ExplicitSpectrumKernel, feature_matrix, kappa_squared
 
 
@@ -88,7 +87,6 @@ class SyntheticModel:
     kappa2: float
     source: SourceCondition
     noise: NoiseSpec
-    b_exponent: float | None = None  # set when the spectrum is polynomial i^{-b}
 
     def __post_init__(self):
         t = np.asarray(self.t_bar, dtype=float)
@@ -143,15 +141,7 @@ def polynomial_spectrum_model(
     if b <= 1.0:
         raise DomainViolationError(f"spectral exponent b must exceed 1, got {b}")
     t = np.arange(1, size + 1, dtype=float) ** (-b)
-    kappa2 = kappa_squared(ExplicitSpectrumKernel(t))
-    hv = source_coefficients(h, size) if isinstance(h, str) else np.asarray(h, dtype=float)
-    return SyntheticModel(
-        t_bar=t / kappa2,
-        kappa2=kappa2,
-        source=HolderSource(r=r, R=R, h=hv),
-        noise=NoiseSpec(sigma=sigma, M_bound=sigma if M_bound is None else M_bound),
-        b_exponent=b,
-    )
+    return custom_spectrum_model(t, r=r, R=R, sigma=sigma, M_bound=M_bound, h=h)
 
 
 def custom_spectrum_model(
@@ -171,7 +161,6 @@ def custom_spectrum_model(
         kappa2=kappa2,
         source=HolderSource(r=r, R=R, h=hv),
         noise=NoiseSpec(sigma=sigma, M_bound=sigma if M_bound is None else M_bound),
-        b_exponent=None,
     )
 
 
@@ -182,11 +171,6 @@ class GeneratedSample:
     # Phi = feature_matrix(model.kernel(), data.xs), n x D; reused by the Gram factor
     # and the truth coefficients so one replication builds it once
     features: np.ndarray
-
-
-def target_values(model: SyntheticModel, xs: np.ndarray) -> np.ndarray:
-    """f(x) = sum_i a_i sqrt(kappa^2 t_bar_i) e_i(x) evaluated pointwise."""
-    return feature_matrix(model.kernel(), xs) @ model.target_coefficients()
 
 
 def generate(model: SyntheticModel, n: int, seed: int) -> GeneratedSample:
@@ -230,18 +214,12 @@ def true_error_norm(a_hat: np.ndarray, a: np.ndarray, t_bar: np.ndarray, s: floa
     return float(np.sqrt(np.sum(t_bar ** (2.0 * s) * d * d)))
 
 
-def approx_error(model: SyntheticModel, lam: float) -> float:
-    """A(lambda): R lambda^r for Holder sources, A(lambda) for index functions."""
-    if not (0.0 < lam <= 1.0):
-        raise InvalidLambdaError(f"lambda must lie in (0, 1], got {lam}")
-    if isinstance(model.source, HolderSource):
-        return float(model.source.R * lam**model.source.r)
-    return float(model.source.A(lam))
-
-
 @dataclass(frozen=True)
 class ApproxErrorOracle:
-    """Approximation-error bound A(.) plus the remainder constant C in d_2 = C/sqrt(n)."""
+    """Approximation-error bound A(.) plus the remainder constant C in d_2 = C/sqrt(n).
+
+    A(lambda) is R lambda^r for Holder sources and the index function itself otherwise.
+    """
 
     A_fn: Callable[[float], float]
     d2_constant: float = 0.0
@@ -259,19 +237,6 @@ class ApproxErrorOracle:
         return float(self.A_fn(lam)) + self.d2_constant / np.sqrt(n)
 
 
-def _bisect_increasing(fn: Callable[[float], float], lo: float, hi: float) -> float:
-    """Root of an increasing function with fn(lo) <= 0 <= fn(hi), to ~1e-10 relative."""
-    for _ in range(BISECTION_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        if fn(mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= 1e-12 * hi:
-            break
-    return 0.5 * (lo + hi)
-
-
 def balance_crossing(a_tilde: Callable[[float], float], s_tilde: Callable[[float], float]) -> float:
     """Unique crossing of an increasing A-bound and a decreasing S-bound in (0, 1]."""
     gap = lambda lam: a_tilde(lam) - s_tilde(lam)
@@ -282,30 +247,18 @@ def balance_crossing(a_tilde: Callable[[float], float], s_tilde: Callable[[float
     return _bisect_increasing(gap, BISECTION_LO, 1.0)
 
 
-def oracle_lambda_regular(model: SyntheticModel, n: int) -> float:
-    """Closed-form balance point for the regular case:
-    lambda_n = (sigma^2 / (R^2 n))^{b / (2 b r + b + 1)}."""
-    if not isinstance(model.source, HolderSource) or model.b_exponent is None:
-        raise DomainViolationError("regular oracle needs a Holder source and polynomial spectrum")
-    b, r = model.b_exponent, model.source.r
-    ratio = model.noise.sigma**2 / (model.source.R**2 * n)
-    return float(ratio ** (b / (2.0 * b * r + b + 1.0)))
-
-
 def oracle_lambda_balance(
     oracle: ApproxErrorOracle,
     effdim_fn: Callable[[float], float],
     params: SampleErrorParams,
-    n: int,
 ) -> float:
-    """lambda_opt = sup{lambda : A(lambda) + d2 <= S(n, lambda) + d1}, found by bisection."""
-    if params.n != n:
-        params = SampleErrorParams(sigma=params.sigma, M_bound=params.M_bound, n=n)
+    """lambda_opt = sup{lambda : A(lambda) + d2 <= S(n, lambda) + d1} at n = params.n,
+    found by bisection."""
 
     def s_tilde(lam: float) -> float:
         return sample_error(params, effdim_clamped(effdim_fn(lam)), lam)
 
-    return balance_crossing(lambda lam: oracle.a_tilde(lam, n), s_tilde)
+    return balance_crossing(lambda lam: oracle.a_tilde(lam, params.n), s_tilde)
 
 
 def rate_exponent(r: float, b: float, s: float) -> float:
@@ -320,15 +273,12 @@ def lambda_star(
     oracle: ApproxErrorOracle,
     effdim_fn: Callable[[float], float],
     params: SampleErrorParams,
-    n: int,
 ) -> float:
-    """Largest grid point where the A-bound is still dominated by the S-bound."""
-    if params.n != n:
-        params = SampleErrorParams(sigma=params.sigma, M_bound=params.M_bound, n=n)
+    """Largest grid point where the A-bound is still dominated by the S-bound at n = params.n."""
     members = [
         float(lam)
         for lam in grid.lambdas
-        if oracle.a_tilde(float(lam), n)
+        if oracle.a_tilde(float(lam), params.n)
         <= sample_error(params, effdim_clamped(effdim_fn(float(lam))), float(lam))
     ]
     if not members:
@@ -369,6 +319,14 @@ def reject_unknown_keys(doc: dict, known: tuple[str, ...], where: str) -> dict:
     return doc
 
 
+def check_choice(value, allowed: tuple[str, ...], where: str) -> str:
+    """Return `value` after checking that it is one of `allowed`; a misspelt value
+    would otherwise be read as one of the other choices."""
+    if value not in allowed:
+        raise ValueError(f"unknown value {value!r} for {where} (allowed: {', '.join(allowed)})")
+    return value
+
+
 def model_from_dict(doc: dict) -> SyntheticModel:
     reject_unknown_keys(doc, ("spectrum", "source", "noise"), "the model document")
     spec = reject_unknown_keys(doc.get("spectrum", {}), ("type", "b", "D", "t"), "spectrum")
@@ -381,7 +339,7 @@ def model_from_dict(doc: dict) -> SyntheticModel:
         h = np.asarray(h, dtype=float)
     sigma = float(noise.get("sigma", 0.3))
     M = float(noise.get("M", sigma))
-    if spec.get("type", "poly") == "poly":
+    if check_choice(spec.get("type", "poly"), ("poly", "custom"), "spectrum.type") == "poly":
         model = polynomial_spectrum_model(
             b=float(spec.get("b", 2.0)),
             size=int(spec.get("D", 1000)),
@@ -395,13 +353,12 @@ def model_from_dict(doc: dict) -> SyntheticModel:
         model = custom_spectrum_model(
             t=np.asarray(spec["t"], dtype=float), r=r, R=R, sigma=sigma, M_bound=M, h=h
         )
-    if src.get("type", "holder") == "index":
+    if check_choice(src.get("type", "holder"), ("holder", "index"), "source.type") == "index":
         hv = model.source.h
         model = SyntheticModel(
             t_bar=model.t_bar,
             kappa2=model.kappa2,
             source=IndexFunctionSource(A=lambda lam, _r=r, _R=R: _R * lam**_r, h=hv),
             noise=model.noise,
-            b_exponent=model.b_exponent,
         )
     return model

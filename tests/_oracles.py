@@ -36,3 +36,11 @@ def brute_force_jplus(coeffs, lams, g_dense, kscale, cfg, n):
         if ok:
             accepted.append(lam)
     return max(accepted), accepted
+
+
+def oracle_lambda_regular(model, n, b):
+    """Closed-form balance point of the regular case (Caponnetto & De Vito 2007) for a
+    Holder source and raw spectrum i^{-b}: lambda_n = (sigma^2 / (R^2 n))^{b / (2 b r + b + 1)}."""
+    r = model.source.r
+    ratio = model.noise.sigma**2 / (model.source.R**2 * n)
+    return float(ratio ** (b / (2.0 * b * r + b + 1.0)))

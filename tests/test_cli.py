@@ -229,6 +229,45 @@ def test_experiment_config_rejects_unknown_keys(tmp_path, capsys, section, typo)
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "section, key, value, allowed",
+    [
+        ("source", "type", "indx", "holder, index"),
+        ("spectrum", "type", "polly", "poly, custom"),
+        ("balancing", "constant_mode", "theoretcal", "practical, theoretical"),
+        (None, "filters", "landwber", "tikhonov, spectral_cutoff, landweber"),
+    ],
+)
+def test_experiment_config_rejects_unknown_values(tmp_path, capsys, section, key, value, allowed):
+    # a misspelt enumerated value used to be read as one of the other choices
+    model = json.loads(json.dumps(MODEL_DOC))
+    cfg = {"model": model, "n_values": [60], "replications": 1, "balancing": {"eta": 0.1}}
+    {None: cfg, "balancing": cfg["balancing"], **model}[section][key] = [value] if key == "filters" else value
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    code = dispatch(["experiment", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1 and repr(value) in err and f"allowed: {allowed}" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_short_csv_row_is_a_domain_error(tmp_path, capsys):
+    data = tmp_path / "short.csv"
+    data.write_text("x,y\n0.1,0.2\n0.5\n", encoding="utf-8")
+    code = dispatch(["fit", "--data", str(data), "--kernel", "gaussian:0.2", "--lambda", "0.1"])
+    assert code == 1 and "line 3" in capsys.readouterr().err
+
+
+def test_unusable_paths_are_domain_errors(tmp_path, capsys):
+    # a directory as --data and a file as --out-dir are OS errors, reported with exit 1
+    code = dispatch(["fit", "--data", str(tmp_path), "--kernel", "gaussian:0.2", "--lambda", "0.1"])
+    assert code == 1 and capsys.readouterr().err.startswith("error: ")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"model": MODEL_DOC, "n_values": [60], "replications": 1}), encoding="utf-8")
+    code = dispatch(["experiment", "--config", str(cfg_path), "--out-dir", str(cfg_path)])
+    assert code == 1 and capsys.readouterr().err.startswith("error: ")
+
+
 def test_console_script_entry():
     import subprocess, sys
 

@@ -76,8 +76,8 @@ def test_sample_error_values():
     assert sample_error(SampleErrorParams(0.0, 2.0, 4), 1.0, 0.5) == pytest.approx(1.0)
     val = sample_error(SampleErrorParams(1.0, 1.0, 100), 7.0 / 6.0, 0.25)
     assert val == pytest.approx(0.21602 + 0.04, abs=1e-5)
-    # remainder excluded on request
-    val_no_rem = sample_error(SampleErrorParams(1.0, 1.0, 100), 7.0 / 6.0, 0.25, include_remainder=False)
+    # M = 0 leaves only the leading term
+    val_no_rem = sample_error(SampleErrorParams(1.0, 0.0, 100), 7.0 / 6.0, 0.25)
     assert val_no_rem == pytest.approx(0.21602, abs=1e-5)
 
 

@@ -337,9 +337,9 @@ def test_grid_ratio_oracle_step():
             oracle = ApproxErrorOracle.from_model(model)
             effdim_fn = model_effdim_fn(model)
             params = model.params(n)
-            lam_opt = oracle_lambda_balance(oracle, effdim_fn, params, n)
+            lam_opt = oracle_lambda_balance(oracle, effdim_fn, params)
             grid = geometric_grid(min(lam_opt / 4.0, 0.2), q)
-            star = lambda_star(grid, oracle, effdim_fn, params, n)
+            star = lambda_star(grid, oracle, effdim_fn, params)
 
             def s_tilde(lam):
                 return sample_error(params, effdim_clamped(effdim_fn(lam)), lam)

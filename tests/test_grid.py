@@ -110,12 +110,13 @@ def test_lambda0_no_root():
 
 def test_heuristic_walk_single_mode():
     # n = 1, spectrum (1): sqrt(max(N_x,1)/lam) crosses 5 at lam = 2^-5
-    lam0 = heuristic_lambda0(np.array([1.0]), 1, 2.0, threshold=5.0)
+    lam0 = heuristic_lambda0(np.array([1.0]), 1, 2.0)
     assert lam0 == pytest.approx(0.03125)
 
 
-def test_heuristic_zero_threshold_first_step():
-    lam0 = heuristic_lambda0(np.array([1.0]), 1, 2.0, threshold=0.0)
+def test_heuristic_stops_at_first_step():
+    # 100 unit eigenvalues, n = 1: sqrt(N_x(1/2) / (1/2)) = sqrt(400/3) > 5 at once
+    lam0 = heuristic_lambda0(np.ones(100), 1, 2.0)
     assert lam0 == pytest.approx(0.5)
 
 
@@ -137,9 +138,9 @@ def test_heuristic_agrees_with_effdim_root():
 
 
 def test_heuristic_not_reached():
-    # sigma-inclusive criterion with sigma = 0 can never fire
+    # a NaN proxy never reaches the threshold; the floor guard ends the walk
     with pytest.raises(NotReachedError):
-        heuristic_lambda0(np.array([1.0, 0.5]), 50, 2.0, threshold=5.0, sigma=0.0)
+        heuristic_lambda0(np.array([1.0, np.nan]), 50, 2.0)
 
 
 def test_validate_grid_conditions_example():

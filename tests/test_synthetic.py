@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from _oracles import oracle_lambda_regular
 
-from lepskii.effdim import SampleErrorParams, model_effdim
+from lepskii.effdim import SampleErrorParams, effdim_clamped, model_effdim, sample_error
 from lepskii.errors import (
     DimensionMismatchError,
     DomainViolationError,
@@ -16,7 +17,6 @@ from lepskii.synthetic import (
     HolderSource,
     IndexFunctionSource,
     SyntheticModel,
-    approx_error,
     balance_crossing,
     custom_spectrum_model,
     estimator_basis_coefficients,
@@ -24,11 +24,9 @@ from lepskii.synthetic import (
     lambda_star,
     model_from_dict,
     oracle_lambda_balance,
-    oracle_lambda_regular,
     polynomial_spectrum_model,
     rate_exponent,
     source_coefficients,
-    target_values,
     true_error_norm,
 )
 
@@ -54,7 +52,8 @@ def test_generate_features_are_the_model_feature_matrix():
 def test_generate_noiseless_exact():
     model = polynomial_spectrum_model(b=2.0, size=50, sigma=0.0)
     sample = generate(model, 64, seed=1)
-    assert np.allclose(sample.data.ys, target_values(model, sample.data.xs), atol=1e-14)
+    f_at_xs = feature_matrix(model.kernel(), sample.data.xs) @ model.target_coefficients()
+    assert np.allclose(sample.data.ys, f_at_xs, atol=1e-14)
 
 
 @pytest.mark.slow
@@ -62,7 +61,7 @@ def test_generate_noise_moments():
     model = polynomial_spectrum_model(b=2.0, size=10, sigma=0.7)
     n = 100_000
     sample = generate(model, n, seed=11)
-    eps = sample.data.ys - target_values(model, sample.data.xs)
+    eps = sample.data.ys - feature_matrix(model.kernel(), sample.data.xs) @ model.target_coefficients()
     assert abs(eps.mean()) <= 4 * 0.7 / np.sqrt(n)
     assert abs(eps.var() - 0.49) <= 0.05 * 0.49
 
@@ -106,7 +105,7 @@ def test_estimator_expansion_gram_identity():
         a = sample.target_coeffs
         via_norm = true_error_norm(a_hat, a, model.t_bar, 0.0)
         kmat = gram(model.kernel(), sample.data.xs)
-        f_at_xs = target_values(model, sample.data.xs)
+        f_at_xs = feature_matrix(model.kernel(), sample.data.xs) @ model.target_coefficients()
         gram_sq = c @ kmat @ c - 2.0 * c @ f_at_xs + float(a @ a)
         assert via_norm**2 == pytest.approx(gram_sq, rel=1e-8, abs=1e-12)
 
@@ -132,35 +131,37 @@ def test_s_half_norm_matches_l2_quadrature():
     grid = (np.arange(10_000) + 0.5) / 10_000
     from lepskii.estimators import predict
 
-    err_fn = predict(c, model.kernel(), sample.data.xs, grid) - target_values(model, grid)
+    f_at_grid = feature_matrix(model.kernel(), grid) @ model.target_coefficients()
+    err_fn = predict(c, model.kernel(), sample.data.xs, grid) - f_at_grid
     l2 = np.sqrt(np.mean(err_fn**2))
     assert norm_half == pytest.approx(l2 / np.sqrt(model.kappa2), rel=0.01)
 
 
 def test_approx_error_forms():
     model = polynomial_spectrum_model(b=2.0, size=10, r=0.5, R=1.0)
-    assert approx_error(model, 0.25) == pytest.approx(0.5)
+    A = ApproxErrorOracle.from_model(model).A_fn
+    assert A(0.25) == pytest.approx(0.5)
     idx = SyntheticModel(
         t_bar=model.t_bar,
         kappa2=model.kappa2,
         source=IndexFunctionSource(A=lambda lam: lam, h=source_coefficients("single", 10)),
         noise=model.noise,
     )
-    assert approx_error(idx, 0.3) == pytest.approx(0.3)
+    assert ApproxErrorOracle.from_model(idx).A_fn(0.3) == pytest.approx(0.3)
     lams = np.geomspace(1e-6, 1.0, 30)
-    vals = [approx_error(model, float(l)) for l in lams]
+    vals = [A(float(l)) for l in lams]
     assert all(a < b for a, b in zip(vals, vals[1:]))
 
 
 def test_oracle_lambda_regular_values():
     model = polynomial_spectrum_model(b=2.0, size=10, r=0.5, R=1.0, sigma=1.0)
     # exponent b/(2br+b+1) = 2/5; lambda = 16^{-0.4}
-    assert oracle_lambda_regular(model, 16) == pytest.approx(16.0**-0.4)
-    assert oracle_lambda_regular(model, 16) == pytest.approx(0.32988, abs=1e-5)
+    assert oracle_lambda_regular(model, 16, b=2.0) == pytest.approx(16.0**-0.4)
+    assert oracle_lambda_regular(model, 16, b=2.0) == pytest.approx(0.32988, abs=1e-5)
     # boundary sigma^2 = R^2 n
     m2 = polynomial_spectrum_model(b=2.0, size=10, r=0.5, R=1.0, sigma=2.0)
-    assert oracle_lambda_regular(m2, 4) == pytest.approx(1.0)
-    vals = [oracle_lambda_regular(model, n) for n in (10, 100, 1000)]
+    assert oracle_lambda_regular(m2, 4, b=2.0) == pytest.approx(1.0)
+    vals = [oracle_lambda_regular(model, n, b=2.0) for n in (10, 100, 1000)]
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
@@ -178,10 +179,8 @@ def test_oracle_lambda_balance_matches_regular_within_factor_two():
     n = 10_000
     oracle = ApproxErrorOracle.from_model(model)
     assert oracle.d2_constant == 0.0  # r <= 1: no sqrt(n) remainder
-    lam_bal = oracle_lambda_balance(
-        oracle, lambda lam: model_effdim(model.t_bar, lam), model.params(n), n
-    )
-    lam_reg = oracle_lambda_regular(model, n)
+    lam_bal = oracle_lambda_balance(oracle, lambda lam: model_effdim(model.t_bar, lam), model.params(n))
+    lam_reg = oracle_lambda_regular(model, n, b=2.0)
     assert lam_reg / 2.0 <= lam_bal <= lam_reg * 2.0
 
 
@@ -204,7 +203,7 @@ def test_lambda_star_direct():
     # effdim chosen so S-tilde = 0.25/lam: sigma sqrt(max(N,1)/(n lam)) with N = 0.25/lam^... ->
     # use explicit fn: S = 0.25/lam requires N/(4 lam) = (0.25/lam)^2 -> N = 0.25/lam
     effdim_fn = lambda lam: 0.25 / lam
-    star = lambda_star(grid, _linear_oracle(), effdim_fn, params, 4)
+    star = lambda_star(grid, _linear_oracle(), effdim_fn, params)
     assert star == pytest.approx(0.5)
 
 
@@ -212,7 +211,7 @@ def test_lambda_star_empty():
     grid = Grid(lambdas=np.array([0.5, 1.0]), q=2.0)
     params = SampleErrorParams(sigma=1e-6, M_bound=0.0, n=10**6)
     with pytest.raises(EmptyJError):
-        lambda_star(grid, _linear_oracle(), lambda lam: 1.0, params, 10**6)
+        lambda_star(grid, _linear_oracle(), lambda lam: 1.0, params)
 
 
 def test_lambda_star_brackets_crossing():
@@ -220,9 +219,9 @@ def test_lambda_star_brackets_crossing():
     n = 2000
     oracle = ApproxErrorOracle.from_model(model)
     effdim_fn = lambda lam: model_effdim(model.t_bar, lam)
-    lam_opt = oracle_lambda_balance(oracle, effdim_fn, model.params(n), n)
+    lam_opt = oracle_lambda_balance(oracle, effdim_fn, model.params(n))
     grid = geometric_grid(min(lam_opt / 4, 0.24), 2.0)
-    star = lambda_star(grid, oracle, effdim_fn, model.params(n), n)
+    star = lambda_star(grid, oracle, effdim_fn, model.params(n))
     assert star <= lam_opt <= star * grid.q * (1 + 1e-12)
 
 
@@ -233,12 +232,11 @@ def test_remainder_subordination():
     effdim_fn = lambda lam: model_effdim(model.t_bar, lam)
     ratios = []
     for n in (100, 1000, 10_000, 100_000):
-        lam_n = oracle_lambda_regular(model, n)
-        params = model.params(n)
-        from lepskii.effdim import effdim_clamped, sample_error
-
-        s_lead = sample_error(params, effdim_clamped(effdim_fn(lam_n)), lam_n, include_remainder=False)
-        a_lead = approx_error(model, lam_n)
+        lam_n = oracle_lambda_regular(model, n, b=2.0)
+        # M = 0 leaves the leading sample-error term
+        params = SampleErrorParams(sigma=model.noise.sigma, M_bound=0.0, n=n)
+        s_lead = sample_error(params, effdim_clamped(effdim_fn(lam_n)), lam_n)
+        a_lead = oracle.A_fn(lam_n)
         d = model.noise.M_bound / (n * lam_n) + oracle.d2_constant / np.sqrt(n)
         ratios.append(d / (a_lead + s_lead))
     assert all(a > b for a, b in zip(ratios, ratios[1:]))
@@ -270,7 +268,8 @@ def test_model_from_dict_roundtrip():
         "noise": {"sigma": 0.3, "M": 0.3},
     }
     model = model_from_dict(doc)
-    assert model.size == 100 and model.b_exponent == 2.0
+    assert model.size == 100
+    assert np.allclose(model.t_bar * model.kappa2, np.arange(1, 101, dtype=float) ** -2.0, rtol=1e-14, atol=0)
     assert model.noise.sigma == 0.3
     custom = model_from_dict(
         {
@@ -280,7 +279,7 @@ def test_model_from_dict_roundtrip():
         }
     )
     assert isinstance(custom.source, IndexFunctionSource)
-    assert approx_error(custom, 0.5) == pytest.approx(1.0)
+    assert ApproxErrorOracle.from_model(custom).A_fn(0.5) == pytest.approx(1.0)
 
 
 def test_custom_spectrum_model_kappa_consistency():
