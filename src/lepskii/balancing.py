@@ -154,6 +154,6 @@ def estimate_sigma(
         raise DegenerateFitError(f"degrees of freedom {df:.2f} >= n = {n}")
     # fitted values K c = kscale * G c, evaluated spectrally
     mu = dec.eigenvalues[: dec.rank]
-    fitted = kscale * (dec.vectors @ (mu * dec.project(c)))
+    fitted = kscale * dec.expand(mu * dec.project(c))
     rss = float(np.sum((data.ys - fitted) ** 2))
     return max(np.sqrt(rss / (n - df)), 1e-12)

@@ -13,8 +13,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .balancing import BalancingConfig, balancing_select
 from .effdim import empirical_effdim, model_effdim, two_sided_check
 from .errors import LepskiiError
@@ -159,10 +157,7 @@ def cmd_balance(args) -> int:
         use_theoretical_constant=(args.constant_mode == "theoretical"),
         bal_factor=args.bal_factor,
     )
-    method = FILTERS[args.filter]
-    fits = np.column_stack(
-        [fit_from_decomposition(dec, kscale, data.ys, method, float(lam)) for lam in grid.lambdas]
-    )
+    fits = fit_from_decomposition(dec, kscale, data.ys, FILTERS[args.filter], grid.lambdas)
     diag = balancing_select(fits, grid, dec, kscale, cfg, data.n)
     doc = {
         "lambda_hat": diag.lambda_hat,
@@ -210,8 +205,13 @@ def _experiment_config(doc: dict) -> ExperimentConfig:
         bal_factor=float(bal.get("bal_factor", 20.0)),
     )
     mode = doc.get("lambda0_mode", "model")
-    if not isinstance(mode, str):
-        mode = float(mode)
+    if mode not in ("model", "heuristic"):
+        try:
+            mode = float(mode)
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"unknown value {mode!r} for lambda0_mode (allowed: model, heuristic or a number)"
+            ) from None
     return ExperimentConfig(
         model=model,
         n_values=tuple(int(v) for v in doc["n_values"]),

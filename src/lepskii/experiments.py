@@ -98,10 +98,8 @@ def holdout_select(
     xs_va, ys_va = data.xs[n_train:], data.ys[n_train:]
     dec = gram_decomposition(k, xs_tr)
     kscale = gram_scale(k, n_train)
-    fits = np.column_stack(
-        [fit_from_decomposition(dec, kscale, ys_tr, m, float(lam)) for lam in grid.lambdas]
-    )
-    del dec  # release the n_train x rank eigenvectors before predict builds its matrices
+    fits = fit_from_decomposition(dec, kscale, ys_tr, m, grid.lambdas)
+    del dec  # release the decomposition's n_train-row factor before predict builds its matrices
     mse = np.mean((ys_va[:, None] - predict(fits, k, xs_tr, xs_va)) ** 2, axis=0)
     # last index of the minimum, so the larger lambda wins ties
     return float(grid.lambdas[np.flatnonzero(mse == mse.min())[-1]])
@@ -125,7 +123,10 @@ def _replication_rows(
 
     t_start = time.perf_counter()
     try:
-        dec = gram_decomposition(kernel, data.xs, sample.features)
+        # Lifted once here: the benchmark checks the truth-error columns to 1e-12 relative
+        # against references recorded with the explicit eigenvectors phi @ w, and fitting
+        # through the factored form sums in another order, which moves them by up to 1e-11.
+        dec = gram_decomposition(kernel, data.xs, sample.features).lifted()
         kscale = gram_scale(kernel, n)
         if fixed_grid is None:
             lam0 = heuristic_lambda0(dec, n, cfg.grid_q)
@@ -145,18 +146,17 @@ def _replication_rows(
         t_f = time.perf_counter()
         errs_s12 = None
         try:
-            # one coefficient column per grid lambda, in grid order
-            fits = np.column_stack(
-                [fit_from_decomposition(dec, kscale, data.ys, filt, float(lam)) for lam in grid.lambdas]
+            # one coefficient column per grid lambda, in grid order, then lambda_oracle's
+            fits = fit_from_decomposition(
+                dec, kscale, data.ys, filt, np.append(grid.lambdas, lam_oracle)
             )
             # one-for-all: the L2 (s = 1/2) choice is used in every norm; s = 0 is its comparison
             diag_half, diag_zero = (
-                balancing_select(fits, grid, dec, kscale, dataclasses.replace(cfg.balancing, s=s), n)
+                balancing_select(fits[:, :-1], grid, dec, kscale, dataclasses.replace(cfg.balancing, s=s), n)
                 for s in (0.5, 0.0)
             )
 
-            c_oracle = fit_from_decomposition(dec, kscale, data.ys, filt, lam_oracle)
-            a_hats = estimator_basis_coefficients(np.column_stack([fits, c_oracle]), sample.features)
+            a_hats = estimator_basis_coefficients(fits, sample.features)
             errs_s0 = [true_error_norm(a, a_true, model.t_bar, 0.0) for a in a_hats[:, :-1].T]
             errs_s12 = [true_error_norm(a, a_true, model.t_bar, 0.5) for a in a_hats[:, :-1].T]
             err_oracle = true_error_norm(a_hats[:, -1], a_true, model.t_bar, 0.5)

@@ -152,7 +152,8 @@ def feature_matrix(k: ExplicitSpectrumKernel, xs: np.ndarray) -> np.ndarray:
 
 
 def cross_gram(k: KernelSpec, xs_a: np.ndarray, xs_b: np.ndarray) -> np.ndarray:
-    """Matrix K(a_i, b_j) for two point sets."""
+    """Matrix K(a_i, b_j) for two point sets (features built once when both are one array)."""
+    same = xs_a is xs_b
     xs_a = _check_domain(k, xs_a)
     xs_b = _check_domain(k, xs_b)
     if isinstance(k, GaussianKernel):
@@ -160,7 +161,8 @@ def cross_gram(k: KernelSpec, xs_a: np.ndarray, xs_b: np.ndarray) -> np.ndarray:
         return np.exp(-(diff**2) / (2.0 * k.bandwidth**2))
     if isinstance(k, PolynomialKernel):
         return (k.offset + xs_a[:, None] * xs_b[None, :]) ** k.degree
-    return feature_matrix(k, xs_a) @ feature_matrix(k, xs_b).T
+    phi_a = feature_matrix(k, xs_a)
+    return phi_a @ (phi_a if same else feature_matrix(k, xs_b)).T
 
 
 def kappa_squared(k: KernelSpec) -> float:
@@ -232,6 +234,8 @@ def gram_decomposition(
     For explicit-spectrum kernels with n > D this goes through the n x D
     feature factor (eigendecomposing Phi^T Phi / (n kappa^2), D x D) instead
     of the n x n matrix; results agree with the dense route up to round-off.
+    Its eigenvectors stay factored through Phi / sqrt(n kappa^2) (see
+    SpectralDecomposition.lifted).
     A caller that already holds Phi = feature_matrix(k, xs) passes it as
     `features` so it is not built again; other routes ignore it.
     """
@@ -247,10 +251,10 @@ def gram_decomposition(
     keep = vals > max(vals[0], 0.0) * _EIG_REL_CUTOFF
     vals = _clamp_unit_interval(vals[keep])
     w = vecs[:, ::-1][:, keep]
-    del vecs  # only the kept copy w is needed for the lift
-    # lift factor-space eigenvectors to data space: u = phi w / sqrt(nu)
+    del vecs  # only the kept copy w is needed
+    # data-space eigenvectors u = phi w / sqrt(nu), kept factored as basis phi, coords w
     w /= np.sqrt(vals)
-    return truncated_decomposition(vals, phi @ w, dim=xs.shape[0])
+    return truncated_decomposition(vals, w, dim=xs.shape[0], basis=phi)
 
 
 def gram_eigenvalues(k: KernelSpec, xs: np.ndarray) -> np.ndarray:

@@ -54,13 +54,17 @@ class SymMatrix:
 class SpectralDecomposition:
     """Eigenvalues (descending) plus orthonormal eigenvectors of a symmetric matrix.
 
-    ``vectors`` has shape (dim, r) with r <= dim; when r < dim the trailing
-    eigenvalues are all exactly zero and their eigenspace is the (implicit)
-    orthogonal complement of the stored columns.
+    The eigenvectors are stored as ``basis @ coords`` (dim x r, r <= dim): with
+    ``basis`` None, ``coords`` are the eigenvectors themselves; otherwise they are
+    coordinates in the columns of ``basis`` (dim x m) and the dim x r product is
+    never formed unless asked for. When r < dim the trailing eigenvalues are all
+    exactly zero and their eigenspace is the (implicit) orthogonal complement of
+    the stored columns.
     """
 
     eigenvalues: np.ndarray
-    vectors: np.ndarray
+    coords: np.ndarray
+    basis: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
@@ -69,11 +73,31 @@ class SpectralDecomposition:
     @property
     def rank(self) -> int:
         """Number of explicitly stored eigenpairs (not the matrix rank)."""
-        return self.vectors.shape[1]
+        return self.coords.shape[1]
+
+    @property
+    def vectors(self) -> np.ndarray:
+        """The dim x r eigenvector matrix, multiplied out when stored factored."""
+        return self.coords if self.basis is None else self.basis @ self.coords
 
     def project(self, x: np.ndarray) -> np.ndarray:
         """Coordinates of x (vector or stacked columns) w.r.t. the stored eigenvectors."""
-        return self.vectors.T @ x
+        if self.basis is None:
+            return self.coords.T @ x
+        return self.coords.T @ (self.basis.T @ x)
+
+    def expand(self, e: np.ndarray) -> np.ndarray:
+        """The combination of the stored eigenvectors with coefficients e (vector or
+        stacked columns); the inverse of project on their span."""
+        if self.basis is None:
+            return self.coords @ e
+        return self.basis @ (self.coords @ e)
+
+    def lifted(self) -> "SpectralDecomposition":
+        """The same decomposition with its eigenvectors multiplied out."""
+        if self.basis is None:
+            return self
+        return SpectralDecomposition(eigenvalues=self.eigenvalues, coords=self.vectors)
 
 
 def _clamp_unit_interval(eigenvalues: np.ndarray) -> np.ndarray:
@@ -109,11 +133,14 @@ def sym_eigendecompose(m: SymMatrix | np.ndarray, normalized: bool = False) -> S
         vecs = vecs[:, ::-1].copy()
     if normalized:
         vals = _clamp_unit_interval(vals)
-    return SpectralDecomposition(eigenvalues=vals, vectors=vecs)
+    return SpectralDecomposition(eigenvalues=vals, coords=vecs)
 
 
-def truncated_decomposition(eigenvalues: np.ndarray, vectors: np.ndarray, dim: int) -> SpectralDecomposition:
-    """Assemble a decomposition from the leading eigenpairs of a dim x dim matrix.
+def truncated_decomposition(
+    eigenvalues: np.ndarray, coords: np.ndarray, dim: int, basis: np.ndarray | None = None
+) -> SpectralDecomposition:
+    """Assemble a decomposition from the leading eigenpairs of a dim x dim matrix,
+    with eigenvectors ``coords`` or, when ``basis`` is given, ``basis @ coords``.
 
     The supplied eigenvalues must already be descending and account for every
     nonzero eigenvalue; the remaining dim - r eigenvalues are taken to be 0.
@@ -121,4 +148,4 @@ def truncated_decomposition(eigenvalues: np.ndarray, vectors: np.ndarray, dim: i
     eigenvalues = np.asarray(eigenvalues, dtype=float)
     full = np.zeros(dim)
     full[: eigenvalues.shape[0]] = eigenvalues
-    return SpectralDecomposition(eigenvalues=full, vectors=np.asarray(vectors, dtype=float))
+    return SpectralDecomposition(eigenvalues=full, coords=np.asarray(coords, dtype=float), basis=basis)

@@ -44,3 +44,32 @@ def oracle_lambda_regular(model, n, b):
     r = model.source.r
     ratio = model.noise.sigma**2 / (model.source.R**2 * n)
     return float(ratio ** (b / (2.0 * b * r + b + 1.0)))
+
+
+def explicit_kernel_matrix(t, xs_a, xs_b):
+    """K(a, b) = sum_i t_i e_i(a) e_i(b) by direct summation over the trigonometric
+    basis e_1 = 1, e_{2k} = sqrt(2) cos(2 pi k x), e_{2k+1} = sqrt(2) sin(2 pi k x)."""
+
+    def basis(x):
+        cols = [np.ones_like(x)]
+        for i in range(2, len(t) + 1):
+            trig = np.cos if i % 2 == 0 else np.sin
+            cols.append(np.sqrt(2.0) * trig(2.0 * np.pi * (i // 2) * x))
+        return np.column_stack(cols)
+
+    return (basis(xs_a) * t) @ basis(xs_b).T
+
+
+def holdout_tikhonov_lambda(t, kappa2, xs, ys, lams, split_fraction=0.5):
+    """Hold-out choice from its definition: for each lambda a direct Tikhonov solve
+    c = (K_tr + n_tr kappa^2 lambda I)^{-1} y_tr on the head of the data, scored by
+    validation MSE on the tail; ties go to the larger lambda."""
+    n_tr = int(np.ceil(split_fraction * len(xs)))
+    k_tr = explicit_kernel_matrix(t, xs[:n_tr], xs[:n_tr])
+    k_va = explicit_kernel_matrix(t, xs[n_tr:], xs[:n_tr])
+    mse = []
+    for lam in lams:
+        c = np.linalg.solve(k_tr + n_tr * kappa2 * lam * np.eye(n_tr), ys[:n_tr])
+        mse.append(np.mean((ys[n_tr:] - k_va @ c) ** 2))
+    mse = np.array(mse)
+    return float(lams[np.flatnonzero(mse == mse.min())[-1]])

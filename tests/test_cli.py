@@ -236,6 +236,7 @@ def test_experiment_config_rejects_unknown_keys(tmp_path, capsys, section, typo)
         ("spectrum", "type", "polly", "poly, custom"),
         ("balancing", "constant_mode", "theoretcal", "practical, theoretical"),
         (None, "filters", "landwber", "tikhonov, spectral_cutoff, landweber"),
+        (None, "lambda0_mode", "modle", "model, heuristic or a number"),
     ],
 )
 def test_experiment_config_rejects_unknown_values(tmp_path, capsys, section, key, value, allowed):

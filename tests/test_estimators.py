@@ -226,11 +226,26 @@ def test_fit_invalid_lambda():
 
 def test_fit_from_decomposition_shared_across_lambdas():
     model = polynomial_spectrum_model(b=2.0, size=12, sigma=0.1)
-    sample = generate(model, 18, seed=9)
     k = model.kernel()
-    dec = gram_decomposition(k, sample.data.xs)
-    kscale = gram_scale(k, 18)
-    for lam in (0.05, 0.2, 1.0):
-        shared = fit_from_decomposition(dec, kscale, sample.data.ys, TIKHONOV, lam)
-        direct = fit(sample.data, k, TIKHONOV, lam)
-        assert np.allclose(shared, direct, atol=1e-12)
+    lams = np.array([0.05, 0.2, 1.0])
+    for n in (10, 18):  # dense route (n <= D = 12), then the factor route
+        sample = generate(model, n, seed=9)
+        ys = sample.data.ys
+        dec = gram_decomposition(k, sample.data.xs)
+        assert (dec.basis is None) == (n <= k.size)
+        kscale = gram_scale(k, n)
+        for lam in lams:
+            shared = fit_from_decomposition(dec, kscale, ys, TIKHONOV, lam)
+            direct = fit(sample.data, k, TIKHONOV, lam)
+            assert np.allclose(shared, direct, atol=1e-12)
+        # the grid-wide fit is the column stack of the scalar fits
+        for method in (TIKHONOV, SPECTRAL_CUTOFF, LANDWEBER):
+            grid_fit = fit_from_decomposition(dec, kscale, ys, method, lams)
+            stacked = np.column_stack(
+                [fit_from_decomposition(dec, kscale, ys, method, float(lam)) for lam in lams]
+            )
+            assert grid_fit.shape == (n, lams.size)
+            err = np.linalg.norm(grid_fit - stacked, axis=0)
+            assert np.all(err <= 1e-13 * np.linalg.norm(stacked, axis=0))
+    with pytest.raises(InvalidLambdaError):
+        fit_from_decomposition(dec, kscale, ys, TIKHONOV, np.array([0.1, 0.0]))

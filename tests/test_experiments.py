@@ -3,6 +3,7 @@ import io
 import numpy as np
 import pytest
 
+from _oracles import holdout_tikhonov_lambda
 from lepskii.balancing import BalancingConfig
 from lepskii.effdim import empirical_effdim, model_effdim, two_sided_check
 from lepskii.errors import DegenerateSplitError, InsufficientDataError, InvalidEtaError
@@ -22,7 +23,7 @@ from lepskii.experiments import (
     summarize,
 )
 from lepskii.grid import geometric_grid
-from lepskii.kernels import Dataset, gram_decomposition, gram_eigenvalues, gram_scale
+from lepskii.kernels import Dataset, gram_decomposition, gram_eigenvalues, gram_scale, kappa_squared
 from lepskii.synthetic import generate, polynomial_spectrum_model
 
 
@@ -51,6 +52,17 @@ def test_holdout_brute_force_agreement():
             if mse <= best_mse:
                 best, best_mse = float(cand), mse
         assert lam == best
+
+
+def test_holdout_matches_direct_tikhonov_solves_on_the_factor_route():
+    grid = geometric_grid(0.02, 2.0)
+    for seed in range(10):
+        model, sample = _holdout_instance(seed, n=80)  # 40 training points > D = 20
+        kernel = model.kernel()
+        lam = holdout_select(sample.data, 0.5, grid, kernel, TIKHONOV)
+        assert lam == holdout_tikhonov_lambda(
+            kernel.eigenvalues, kappa_squared(kernel), sample.data.xs, sample.data.ys, grid.lambdas
+        )
 
 
 def test_holdout_tie_breaks_toward_larger_lambda():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from _oracles import explicit_kernel_matrix
 from lepskii.errors import DimensionMismatchError, DomainViolationError, NotPositiveSemiDefiniteError
 from lepskii.kernels import (
     Dataset,
@@ -142,13 +143,25 @@ def test_factor_route_matches_dense_route():
     # same operator: compare projections of a random vector under a spectral map
     v = rng.standard_normal(25)
     mu_t = dec.eigenvalues[: dec.rank]
-    out_t = dec.vectors @ (mu_t * (dec.vectors.T @ v))
+    out_t = dec.expand(mu_t * dec.project(v))
     mu_d = dense.eigenvalues
-    out_d = dense.vectors @ (mu_d * (dense.vectors.T @ v))
+    out_d = dense.expand(mu_d * dense.project(v))
     assert np.allclose(out_t, out_d, atol=1e-10)
-    # lifted eigenvectors stay orthonormal
-    gram_u = dec.vectors.T @ dec.vectors
-    assert np.linalg.norm(gram_u - np.eye(dec.rank)) <= 1e-8
+
+
+def test_factored_eigenvectors_match_their_lift():
+    rng = np.random.default_rng(11)
+    k = ExplicitSpectrumKernel(np.arange(1, 21, dtype=float) ** -2.0)
+    dec = gram_decomposition(k, rng.random(80))  # n > D: eigenvectors kept factored
+    lifted = dec.lifted()
+    assert dec.basis is not None and lifted.basis is None and lifted.lifted() is lifted
+    assert np.array_equal(lifted.eigenvalues, dec.eigenvalues) and lifted.rank == dec.rank
+    for x, e in ((rng.standard_normal(80), rng.standard_normal(dec.rank)),
+                 (rng.standard_normal((80, 3)), rng.standard_normal((dec.rank, 3)))):
+        for got, want in ((dec.project(x), lifted.project(x)), (dec.expand(e), lifted.expand(e))):
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    u = lifted.vectors
+    assert np.linalg.norm(u.T @ u - np.eye(dec.rank)) <= 1e-10
 
 
 @pytest.mark.parametrize("n", [5, 25], ids=["dense", "factor"])  # D = 7
@@ -205,6 +218,11 @@ def test_cross_gram_consistency():
     k = GaussianKernel(0.5)
     xs = np.array([0.1, 0.4, 0.9])
     assert np.allclose(cross_gram(k, xs, xs), gram(k, xs))
+    # explicit spectrum: one feature build for one point set, two for equal copies
+    k = ExplicitSpectrumKernel(np.arange(1, 8, dtype=float) ** -2.0)
+    once = cross_gram(k, xs, xs)
+    assert np.allclose(once, cross_gram(k, xs, xs.copy()), rtol=1e-14, atol=1e-15)
+    assert np.allclose(once, explicit_kernel_matrix(k.eigenvalues, xs, xs), rtol=1e-13, atol=1e-14)
 
 
 def test_dataset_csv_roundtrip(tmp_path):
