@@ -76,7 +76,7 @@ def _write_or_print(text: str, out: str | None) -> None:
 def cmd_effdim(args) -> int:
     model = load_model_json(args.model)
     sample = generate(model, args.n, args.seed)
-    dec = gram_decomposition(model.kernel(), sample.data.xs)
+    dec = gram_decomposition(model.kernel(), sample.data.xs, sample.features)
     if args.lambda0 == "auto":
         lam0 = lambda0_from_effdim(model_effdim_fn(model), args.n)
     else:

@@ -11,6 +11,9 @@ from __future__ import annotations
 
 import csv
 import io
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Union
@@ -33,8 +36,17 @@ from .linalg import (
 
 # relative cutoff below which factor-route eigenvalues are treated as exact zeros
 _EIG_REL_CUTOFF = 1e-14
-# frequencies per block in trig_basis
+# a trigonometric feature fill works in tiles of 128 rows x 64 frequencies, with the same
+# per-element products as one column at a time; a tile's angles stay cache-sized, and
+# each temporary (64 KiB) is small next to the n x D output whatever n is
 _TRIG_BLOCK = 64
+_TILE_ROWS = 128
+# fewest rows a chunk of a trigonometric feature fill gets; builds under twice this run
+# on the calling thread
+_FILL_MIN_ROWS = 256
+
+_fill_pool: ThreadPoolExecutor | None = None
+_fill_pool_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -113,23 +125,69 @@ class Dataset:
         return self.xs.shape[0]
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _fill_executor() -> ThreadPoolExecutor:
+    """The process-wide pool that fills row chunks of feature matrices, made on first use
+    with one worker per CPU in the affinity set."""
+    global _fill_pool
+    with _fill_pool_lock:
+        if _fill_pool is None:
+            _fill_pool = ThreadPoolExecutor(_usable_cpus(), thread_name_prefix="lepskii-fill")
+        return _fill_pool
+
+
+def _trig_fill(xs: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """out[j, i] = e_i(x_j) * scale[i] for the trigonometric basis, shape (n, scale.size).
+
+    Row chunks are filled in parallel on the fill pool. Every element goes through the
+    same float operations whichever chunk holds it, so the result does not depend on the
+    number of CPUs. A chunk never submits work, so concurrent callers cannot deadlock.
+    """
+    n, size = xs.shape[0], scale.shape[0]
+    out = np.empty((n, size))
+    root2 = np.sqrt(2.0)
+    n_freq = size // 2
+    freqs = 2.0 * np.pi * np.arange(1, n_freq + 1)
+
+    def fill(lo: int, hi: int) -> None:
+        # column 2k - 1 holds the cosine and column 2k the sine of frequency k
+        for r_lo in range(lo, hi, _TILE_ROWS):
+            rows = out[r_lo : min(r_lo + _TILE_ROWS, hi)]
+            x = xs[r_lo : r_lo + rows.shape[0], None]
+            rows[:, 0] = scale[0]
+            for f_lo in range(1, n_freq + 1, _TRIG_BLOCK):
+                f_hi = min(f_lo + _TRIG_BLOCK, n_freq + 1)
+                angle = x * freqs[f_lo - 1 : f_hi - 1]
+                cos_cols = slice(2 * f_lo - 1, 2 * f_hi - 1, 2)
+                np.multiply(root2 * np.cos(angle), scale[cos_cols], out=rows[:, cos_cols])
+                n_sin = min(f_hi, (size + 1) // 2) - f_lo  # the top sine exists only for odd size
+                sin_cols = slice(2 * f_lo, 2 * (f_lo + n_sin), 2)
+                np.multiply(root2 * np.sin(angle[:, :n_sin]), scale[sin_cols], out=rows[:, sin_cols])
+
+    chunks = min(_usable_cpus(), n // _FILL_MIN_ROWS)
+    if chunks < 2:
+        fill(0, n)
+        return out
+    bounds = [n * i // chunks for i in range(chunks + 1)]
+    pool = _fill_executor()
+    futures = [pool.submit(fill, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])]
+    try:
+        fill(bounds[0], bounds[1])
+    finally:
+        for future in futures:
+            future.result()
+    return out
+
+
 def trig_basis(xs: np.ndarray, size: int) -> np.ndarray:
     """Evaluate the first `size` trigonometric basis functions at xs; shape (n, size)."""
-    xs = np.asarray(xs, dtype=float)
-    out = np.empty((xs.shape[0], size))
-    out[:, 0] = 1.0
-    root2 = np.sqrt(2.0)
-    # column 2k - 1 holds the cosine and column 2k the sine of frequency k; frequencies are
-    # filled _TRIG_BLOCK at a time so each block of angles stays cache-sized, with the same
-    # per-element products as one column at a time
-    n_freq = size // 2
-    for lo in range(1, n_freq + 1, _TRIG_BLOCK):
-        hi = min(lo + _TRIG_BLOCK, n_freq + 1)
-        angle = xs[:, None] * (2.0 * np.pi * np.arange(lo, hi))
-        out[:, 2 * lo - 1 : 2 * hi - 1 : 2] = root2 * np.cos(angle)
-        n_sin = min(hi, (size + 1) // 2) - lo  # the top sine exists only for odd size
-        out[:, 2 * lo : 2 * (lo + n_sin) : 2] = root2 * np.sin(angle[:, :n_sin])
-    return out
+    return _trig_fill(np.asarray(xs, dtype=float), np.ones(size))
 
 
 def _check_domain(k: KernelSpec, xs: np.ndarray) -> np.ndarray:
@@ -147,8 +205,7 @@ def _check_domain(k: KernelSpec, xs: np.ndarray) -> np.ndarray:
 
 def feature_matrix(k: ExplicitSpectrumKernel, xs: np.ndarray) -> np.ndarray:
     """Phi with Phi[j, i] = sqrt(t_i) e_i(x_j), so that K = Phi Phi^T exactly."""
-    xs = _check_domain(k, xs)
-    return trig_basis(xs, k.size) * np.sqrt(k.eigenvalues)
+    return _trig_fill(_check_domain(k, xs), np.sqrt(k.eigenvalues))
 
 
 def cross_gram(k: KernelSpec, xs_a: np.ndarray, xs_b: np.ndarray) -> np.ndarray:
@@ -188,8 +245,11 @@ def normalized_gram(k: KernelSpec, xs: np.ndarray) -> SymMatrix:
     """G = K / (n kappa^2); trace(G) <= 1 and spectrum inside [0, 1]."""
     xs = _check_domain(k, xs)
     n = xs.shape[0]
-    g = gram(k, xs) / (n * kappa_squared(k))
-    g = 0.5 * (g + g.T)
+    # each kernel's Gram of one point set is exactly symmetric ((a - b)^2, a b, and
+    # Phi Phi^T through syrk), so no symmetrisation is needed; SymMatrix still rejects
+    # an asymmetric one
+    g = gram(k, xs)
+    g /= n * kappa_squared(k)
     return SymMatrix(g)
 
 
@@ -201,7 +261,7 @@ def gram_scale(k: KernelSpec, n: int) -> float:
 def _factor_route(
     k: KernelSpec, xs: np.ndarray, features: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray] | None:
-    """(Phi / sqrt(n kappa^2), its symmetrised D x D Gram) for explicit-spectrum
+    """(Phi / sqrt(n kappa^2), its D x D Gram) for explicit-spectrum
     kernels with n > D, where G = Phi Phi^T / (n kappa^2) has rank <= D; else None.
 
     `features`, when given, is feature_matrix(k, xs), built by the caller; it is read
@@ -220,10 +280,7 @@ def _factor_route(
                 f"features of shape {features.shape} do not match {n} points and {k.size} modes"
             )
         phi = features / scale
-    c = phi.T @ phi
-    c += c.T
-    c *= 0.5
-    return phi, c
+    return phi, phi.T @ phi  # exactly symmetric: numpy computes it with syrk
 
 
 def gram_decomposition(

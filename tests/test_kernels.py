@@ -1,3 +1,6 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -84,19 +87,67 @@ def test_trig_basis_orthonormal_under_uniform_measure():
     assert np.allclose(e.T @ e / n, np.eye(size), atol=1e-12)
 
 
-@pytest.mark.parametrize("n", [1, 37])
-@pytest.mark.parametrize("size", [1, 2, 3, 64, 65, 128, 129, 130, 1000, 1001])
-def test_trig_basis_columns_match_definition(size, n):
-    # column 2k - 1 is sqrt(2) cos(2 pi k x), column 2k is sqrt(2) sin(2 pi k x), bit for
-    # bit; the sizes straddle the blocks of frequencies trig_basis fills, odd and even
-    xs = np.random.default_rng(size).random(n)
-    e = trig_basis(xs, size)
-    expected = np.empty((n, size))
+def _columnwise_basis(xs, size):
+    """The trigonometric basis one column at a time: column 2k - 1 is sqrt(2) cos(2 pi k x),
+    column 2k is sqrt(2) sin(2 pi k x)."""
+    expected = np.empty((xs.shape[0], size))
     expected[:, 0] = 1.0
     for col in range(1, size):
         angle = 2.0 * np.pi * ((col + 1) // 2) * xs
         expected[:, col] = np.sqrt(2.0) * (np.cos(angle) if col % 2 == 1 else np.sin(angle))
-    assert np.array_equal(e.view(np.uint64), expected.view(np.uint64))
+    return expected
+
+
+def _same_bits(a, b):
+    return np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize("n", [1, 37, 255, 256, 257, 511, 512, 513, 1000, 4097])
+@pytest.mark.parametrize("size", [1, 2, 3, 64, 65, 128, 129, 130, 1000, 1001])
+def test_trig_basis_columns_match_definition(size, n):
+    # bit for bit; the sizes straddle the blocks of frequencies trig_basis fills, odd and
+    # even, and the row counts straddle the splits into row chunks filled in parallel
+    xs = np.random.default_rng(size).random(n)
+    assert _same_bits(trig_basis(xs, size), _columnwise_basis(xs, size))
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("size", [129, 1000])
+@pytest.mark.parametrize("n", [1, 255, 256, 257, 511, 512, 513, 1000, 4097])
+def test_feature_matrix_matches_columnwise_oracle(monkeypatch, n, size, cpus):
+    # sqrt(t_k) scales the basis column by column with the same two roundings, whatever
+    # the number of row chunks the CPUs split the build into
+    monkeypatch.setattr("lepskii.kernels._usable_cpus", lambda: cpus)
+    k = ExplicitSpectrumKernel(np.arange(1, size + 1, dtype=float) ** -2.0)
+    xs = np.random.default_rng(n).random(n)
+    expected = _columnwise_basis(xs, size) * np.sqrt(k.eigenvalues)
+    assert _same_bits(feature_matrix(k, xs), expected)
+
+
+def test_concurrent_feature_matrix_builds_match_the_serial_build():
+    k = ExplicitSpectrumKernel(np.arange(1, 1002, dtype=float) ** -2.0)
+    inputs = [np.random.default_rng(seed).random(1500 + 250 * seed) for seed in range(4)]
+    serial = [feature_matrix(k, xs) for xs in inputs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(len(inputs)) as callers:
+            futures = [callers.submit(feature_matrix, k, xs) for xs in inputs * 2]
+            built = [future.result(timeout=60) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for got, want in zip(built, serial * 2):
+        assert _same_bits(got, want)
+
+
+@pytest.mark.parametrize("n", [5, 500, 999])
+def test_normalized_gram_is_exactly_symmetric(n):
+    # normalized_gram does not symmetrise, so every kernel's Gram must come out symmetric
+    xs = np.random.default_rng(n).random(n)
+    for k, pts in ((GaussianKernel(0.2), xs), (PolynomialKernel(3, 1.0), 2.0 * xs - 1.0),
+                   (ExplicitSpectrumKernel(np.arange(1, 1002, dtype=float) ** -2.0), xs)):
+        g = normalized_gram(k, pts).values
+        assert np.array_equal(g, g.T)
 
 
 def test_normalized_gram_single_point_saturating():
