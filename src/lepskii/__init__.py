@@ -14,7 +14,7 @@ from .effdim import model_effdim
 from .errors import LepskiiError
 from .estimators import TIKHONOV, fit_from_decomposition, predict
 from .grid import geometric_grid, lambda0_from_effdim
-from .kernels import gram_decomposition, gram_scale
+from .kernels import gram_decomposition
 from .synthetic import estimator_basis_coefficients, generate, polynomial_spectrum_model
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "generate",
     "geometric_grid",
     "gram_decomposition",
-    "gram_scale",
     "lambda0_from_effdim",
     "model_effdim",
     "polynomial_spectrum_model",

@@ -18,7 +18,7 @@ from .effdim import SampleErrorParams, effdim_clamped, empirical_effdim, sample_
 from .errors import DegenerateFitError, DomainViolationError, IncompleteFamilyError
 from .estimators import FilterMethod, TIKHONOV, _projected_norm_sq, fit_from_decomposition
 from .grid import Grid
-from .kernels import Dataset, KernelSpec, gram_scale
+from .kernels import Dataset
 from .linalg import SpectralDecomposition
 
 
@@ -27,19 +27,18 @@ class BalancingConfig:
     """Norm parameter, confidence level, noise constants and threshold constants.
 
     The threshold applied at lambda' is
-        bal_factor * c_s * [log^2(16 |grid| / eta) if use_theoretical_constant] *
+        bal_factor * [log^2(16 |grid| / eta) if use_theoretical_constant] *
         lambda'^s * S_x(n, lambda')
     with S_x the empirical sample error sigma sqrt(max(N_x,1)/(n lambda)) + M/(n lambda).
     The theory's constant is never pinned numerically, so the practical default
-    is the bare factor 20 with c_s = 1; theoretical mode adds the log^2 term
-    evaluated at confidence eta/2.
+    is the bare factor 20; theoretical mode adds the log^2 term evaluated at
+    confidence eta/2.
     """
 
     s: float = 0.5
     eta: float = 0.1
     sigma: float = 1.0
     M_bound: float = 0.0
-    c_s: float = 1.0
     use_theoretical_constant: bool = False
     bal_factor: float = 20.0
 
@@ -48,11 +47,11 @@ class BalancingConfig:
             raise DomainViolationError(f"s must lie in [0, 1/2], got {self.s}")
         if not (0.0 < self.eta < 1.0):
             raise DomainViolationError(f"eta must lie in (0, 1), got {self.eta}")
-        if self.sigma < 0 or self.M_bound < 0 or self.c_s <= 0 or self.bal_factor <= 0:
-            raise DomainViolationError("sigma, M >= 0 and c_s, bal_factor > 0 required")
+        if self.sigma < 0 or self.M_bound < 0 or self.bal_factor <= 0:
+            raise DomainViolationError("sigma, M >= 0 and bal_factor > 0 required")
 
     def threshold_multiplier(self, grid_size: int) -> float:
-        mult = self.bal_factor * self.c_s
+        mult = self.bal_factor
         if self.use_theoretical_constant:
             mult *= np.log(16.0 * grid_size / self.eta) ** 2
         return float(mult)
@@ -69,21 +68,14 @@ class BalancingDiagnostics:
     s: float
 
 
-def empirical_sample_error(
-    spectrum: SpectralDecomposition | np.ndarray, cfg: BalancingConfig, n: int, lam: float
-) -> float:
+def empirical_sample_error(eigenvalues: np.ndarray, cfg: BalancingConfig, n: int, lam: float) -> float:
     """S_x(n, lambda) + M/(n lambda) from the empirical Gram spectrum."""
     params = SampleErrorParams(sigma=cfg.sigma, M_bound=cfg.M_bound, n=n)
-    return sample_error(params, effdim_clamped(empirical_effdim(spectrum, lam)), lam)
+    return sample_error(params, effdim_clamped(empirical_effdim(eigenvalues, lam)), lam)
 
 
 def balancing_select(
-    fits: np.ndarray,
-    grid: Grid | Sequence[float],
-    dec: SpectralDecomposition,
-    kscale: float,
-    cfg: BalancingConfig,
-    n: int,
+    fits: np.ndarray, grid: Grid | Sequence[float], dec: SpectralDecomposition, cfg: BalancingConfig
 ) -> BalancingDiagnostics:
     """Select lambda-hat = max{lambda in grid : all pairwise checks against smaller
     grid points pass}; the smallest grid point passes vacuously.
@@ -103,7 +95,8 @@ def balancing_select(
 
     mult = cfg.threshold_multiplier(len(lams))
     thresholds = {
-        lam: mult * lam**cfg.s * empirical_sample_error(dec, cfg, n, lam) for lam in lams
+        lam: mult * lam**cfg.s * empirical_sample_error(dec.eigenvalues, cfg, dec.dim, lam)
+        for lam in lams
     }
 
     # one projection of all coefficient vectors onto the shared eigenbasis
@@ -116,7 +109,7 @@ def balancing_select(
         for j in range(i):
             lam_p = lams[j]
             d = proj[:, i] - proj[:, j]
-            norm = float(np.sqrt(max(_projected_norm_sq(d, dec, kscale, lam_p, cfg.s), 0.0)))
+            norm = float(np.sqrt(max(_projected_norm_sq(d, dec, lam_p, cfg.s), 0.0)))
             pairwise[(lam, lam_p)] = norm
             if norm > thresholds[lam_p]:
                 ok = False
@@ -133,13 +126,10 @@ def balancing_select(
 
 
 def estimate_sigma(
-    data: Dataset,
-    k: KernelSpec,
-    dec: SpectralDecomposition,
-    lam: float,
-    method: FilterMethod = TIKHONOV,
+    data: Dataset, dec: SpectralDecomposition, lam: float, method: FilterMethod = TIKHONOV
 ) -> float:
-    """Residual-based noise estimate at a small lambda (the grid minimum).
+    """Residual-based noise estimate at a small lambda (the grid minimum), with `dec`
+    the Gram decomposition of data.xs.
 
     Outside the theory (the bounds take sigma as given); offered as a practical
     default: sqrt(RSS / (n - df)) with df = N_x(lambda) degrees of freedom.
@@ -147,13 +137,12 @@ def estimate_sigma(
     n = data.n
     if n < 2:
         raise DegenerateFitError("need at least two observations")
-    kscale = gram_scale(k, n)
-    c = fit_from_decomposition(dec, kscale, data.ys, method, lam)
-    df = empirical_effdim(dec, lam)
+    c = fit_from_decomposition(dec, data.ys, method, lam)
+    df = empirical_effdim(dec.eigenvalues, lam)
     if df >= n:
         raise DegenerateFitError(f"degrees of freedom {df:.2f} >= n = {n}")
     # fitted values K c = kscale * G c, evaluated spectrally
     mu = dec.eigenvalues[: dec.rank]
-    fitted = kscale * dec.expand(mu * dec.project(c))
+    fitted = dec.kscale * dec.expand(mu * dec.project(c))
     rss = float(np.sum((data.ys - fitted) ** 2))
     return max(np.sqrt(rss / (n - df)), 1e-12)

@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
 from .balancing import BalancingConfig, balancing_select
 from .effdim import empirical_effdim, model_effdim, two_sided_check
 from .errors import LepskiiError
-from .estimators import FILTERS, fit_from_decomposition, predict
+from .estimators import FILTERS, fit, fit_from_decomposition, predict
 from .experiments import (
     ExperimentConfig,
     fit_rate,
@@ -33,7 +32,6 @@ from .kernels import (
     PolynomialKernel,
     dataset_to_csv,
     gram_decomposition,
-    gram_scale,
     read_dataset_csv,
 )
 from .synthetic import (
@@ -60,12 +58,6 @@ def parse_kernel(text: str):
     raise argparse.ArgumentTypeError(f"bad kernel spec {text!r} (expected gaussian:BW or poly:DEG:OFFSET[:RADIUS])")
 
 
-def _resolve_lambda0(value: str, spectrum, n: int, q: float) -> float:
-    if value == "auto":
-        return heuristic_lambda0(spectrum, n, q)
-    return float(value)
-
-
 def _write_or_print(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text, encoding="utf-8")
@@ -86,7 +78,7 @@ def cmd_effdim(args) -> int:
     for lam in grid.lambdas:
         lam = float(lam)
         n_model = model_effdim(model.t_bar, lam)
-        n_emp = empirical_effdim(dec, lam)
+        n_emp = empirical_effdim(dec.eigenvalues, lam)
         chk = two_sided_check(n_model, n_emp, args.n, lam, args.eta)
         lines.append(
             ",".join(
@@ -130,10 +122,8 @@ def cmd_grid(args) -> int:
 
 def cmd_fit(args) -> int:
     data = read_dataset_csv(args.data)
-    kernel = args.kernel
-    dec = gram_decomposition(kernel, data.xs)
-    coef = fit_from_decomposition(dec, gram_scale(kernel, data.n), data.ys, FILTERS[args.filter], args.lam)
-    preds = predict(coef, kernel, data.xs, data.xs)
+    coef = fit(data, args.kernel, FILTERS[args.filter], args.lam)
+    preds = predict(coef, args.kernel, data.xs, data.xs)
     lines = ["x,y,coefficient,prediction"]
     for x, y, c, p in zip(data.xs, data.ys, coef, preds):
         lines.append(",".join(format_float(v) for v in (x, y, c, p)))
@@ -145,20 +135,21 @@ def cmd_balance(args) -> int:
     data = read_dataset_csv(args.data)
     kernel = args.kernel
     dec = gram_decomposition(kernel, data.xs)
-    kscale = gram_scale(kernel, data.n)
-    lam0 = _resolve_lambda0(args.lambda0, dec, data.n, args.q)
+    if args.lambda0 == "auto":
+        lam0 = heuristic_lambda0(dec.eigenvalues, data.n, args.q)
+    else:
+        lam0 = float(args.lambda0)
     grid = geometric_grid(lam0, args.q)
     cfg = BalancingConfig(
         s=args.s,
         eta=args.eta,
         sigma=args.sigma,
         M_bound=args.M,
-        c_s=args.c_s,
         use_theoretical_constant=(args.constant_mode == "theoretical"),
         bal_factor=args.bal_factor,
     )
-    fits = fit_from_decomposition(dec, kscale, data.ys, FILTERS[args.filter], grid.lambdas)
-    diag = balancing_select(fits, grid, dec, kscale, cfg, data.n)
+    fits = fit_from_decomposition(dec, data.ys, FILTERS[args.filter], grid.lambdas)
+    diag = balancing_select(fits, grid, dec, cfg)
     doc = {
         "lambda_hat": diag.lambda_hat,
         "s": diag.s,
@@ -191,14 +182,13 @@ def _experiment_config(doc: dict) -> ExperimentConfig:
     model = model_from_dict(doc["model"])
     bal = reject_unknown_keys(
         doc.get("balancing", {}),
-        ("eta", "sigma", "M", "c_s", "constant_mode", "bal_factor"),
+        ("eta", "sigma", "M", "constant_mode", "bal_factor"),
         "balancing",
     )
     cfg_bal = BalancingConfig(
         eta=float(bal.get("eta", 0.1)),
         sigma=float(bal.get("sigma", model.noise.sigma)),
         M_bound=float(bal.get("M", model.noise.M_bound)),
-        c_s=float(bal.get("c_s", 1.0)),
         use_theoretical_constant=check_choice(
             bal.get("constant_mode", "practical"), ("practical", "theoretical"), "balancing.constant_mode"
         ) == "theoretical",
@@ -245,8 +235,8 @@ def cmd_experiment(args) -> int:
 
 def cmd_rate(args) -> int:
     rows = read_results_csv(args.results)
-    fit = fit_rate(rows, args.column)
-    doc = {"column": args.column, "slope": fit.slope, "intercept": fit.intercept, "r2": fit.r2}
+    rate = fit_rate(rows, args.column)
+    doc = {"column": args.column, "slope": rate.slope, "intercept": rate.intercept, "r2": rate.r2}
     _write_or_print(json.dumps(doc, indent=2) + "\n", args.out)
     return 0
 
@@ -296,7 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda0", default="auto")
     p.add_argument("--constant-mode", choices=["practical", "theoretical"], default="practical")
     p.add_argument("--bal-factor", dest="bal_factor", type=float, default=20.0)
-    p.add_argument("--c-s", dest="c_s", type=float, default=1.0)
     p.add_argument("--filter", choices=sorted(FILTERS), default="tikhonov")
     p.add_argument("--out")
     p.set_defaults(func=cmd_balance)
@@ -311,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="full Monte-Carlo run from a config document")
     p.add_argument("--config", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--threads", type=int, default=os.environ.get("LEPSKII_THREADS", "1"))
+    p.add_argument("--threads", type=int, default=1)
     p.add_argument(
         "--timings",
         action="store_true",

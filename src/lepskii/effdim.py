@@ -18,7 +18,6 @@ from .errors import (
     InvalidEtaError,
     InvalidLambdaError,
 )
-from .linalg import SpectralDecomposition
 
 
 def check_lambda(lam: float) -> float:
@@ -46,10 +45,10 @@ class SampleErrorParams:
             raise DomainViolationError("sigma and M must be nonnegative")
 
 
-def empirical_effdim(spectrum: SpectralDecomposition | np.ndarray, lam: float) -> float:
+def empirical_effdim(eigenvalues: np.ndarray, lam: float) -> float:
     """N_x(lambda) = sum_i mu_i / (mu_i + lambda) over all n Gram eigenvalues."""
     lam = check_lambda(lam)
-    mu = spectrum.eigenvalues if isinstance(spectrum, SpectralDecomposition) else np.asarray(spectrum, dtype=float)
+    mu = np.asarray(eigenvalues, dtype=float)
     return float(np.sum(mu / (mu + lam)))
 
 

@@ -17,7 +17,7 @@ from .errors import (
     DomainViolationError,
     InvalidLambdaError,
 )
-from .kernels import Dataset, KernelSpec, ExplicitSpectrumKernel, cross_gram, feature_matrix, gram_decomposition, gram_scale
+from .kernels import Dataset, KernelSpec, ExplicitSpectrumKernel, cross_gram, feature_matrix, gram_decomposition
 from .linalg import SpectralDecomposition
 
 _CUTOFF_VARIANTS = ("tikhonov", "spectral_cutoff", "landweber")
@@ -66,15 +66,12 @@ def filter_value(m: FilterMethod, lam: float, t):
 
 
 def fit_from_decomposition(
-    dec: SpectralDecomposition,
-    kscale: float,
-    ys: np.ndarray,
-    method: FilterMethod,
-    lam: float | np.ndarray,
+    dec: SpectralDecomposition, ys: np.ndarray, method: FilterMethod, lam: float | np.ndarray
 ) -> np.ndarray:
     """Coefficients c = g_lam(G) y / (n kappa^2) of f = sum_j c_j K(x_j, .), using a
-    precomputed decomposition of G. A 1-d array of lambdas gives one coefficient
-    column per lambda, in order; a scalar lambda gives one vector."""
+    precomputed decomposition of G that carries n kappa^2 as dec.kscale. A 1-d array
+    of lambdas gives one coefficient column per lambda, in order; a scalar lambda
+    gives one vector."""
     lams = np.asarray(lam, dtype=float)
     if lams.ndim > 1:
         raise DimensionMismatchError("lambda must be a scalar or a 1-d array")
@@ -91,7 +88,7 @@ def fit_from_decomposition(
     # accumulated in place: each extra n x |lambdas| temporary moves the heap layout, and
     # at n = 4096 the two it saves cost 8 MB of the benchmark's peak RSS
     c += ys[:, None] * g0
-    c /= kscale
+    c /= dec.kscale
     if not np.all(np.isfinite(c)):
         raise DomainViolationError("coefficients contain non-finite values")
     return c if lams.ndim else c[:, 0]
@@ -99,8 +96,7 @@ def fit_from_decomposition(
 
 def fit(data: Dataset, k: KernelSpec, method: FilterMethod, lam: float) -> np.ndarray:
     """Fit a spectral-filter estimator on a dataset."""
-    dec = gram_decomposition(k, data.xs)
-    return fit_from_decomposition(dec, gram_scale(k, data.n), data.ys, method, lam)
+    return fit_from_decomposition(gram_decomposition(k, data.xs), data.ys, method, lam)
 
 
 def predict(c: np.ndarray, k: KernelSpec, train_xs: np.ndarray, xs_new: np.ndarray) -> np.ndarray:
@@ -118,17 +114,12 @@ def predict(c: np.ndarray, k: KernelSpec, train_xs: np.ndarray, xs_new: np.ndarr
 
 
 def weighted_diff_norm(
-    c1: np.ndarray,
-    c2: np.ndarray,
-    dec: SpectralDecomposition,
-    kscale: float,
-    lambda_prime: float,
-    s: float,
+    c1: np.ndarray, c2: np.ndarray, dec: SpectralDecomposition, lambda_prime: float, s: float
 ) -> float:
     """|| (G + lambda')^s (f_1 - f_2) ||_H for coefficient vectors c1, c2.
 
     Computed as sqrt(d^T K (G + lambda')^{2s} d) with d = c1 - c2 in the shared
-    eigenbasis of K = kscale * G; s = 0 gives the plain RKHS norm. lambda' = 0
+    eigenbasis of K = dec.kscale * G; s = 0 gives the plain RKHS norm. lambda' = 0
     is admitted (used by the interpolation-inequality checks).
     """
     c1 = np.asarray(c1, dtype=float)
@@ -140,13 +131,11 @@ def weighted_diff_norm(
     if not (0.0 <= s <= 0.5):
         raise DomainViolationError(f"norm parameter s must lie in [0, 1/2], got {s}")
     e = dec.project(c1 - c2)
-    return float(np.sqrt(max(_projected_norm_sq(e, dec, kscale, lambda_prime, s), 0.0)))
+    return float(np.sqrt(max(_projected_norm_sq(e, dec, lambda_prime, s), 0.0)))
 
 
-def _projected_norm_sq(
-    e: np.ndarray, dec: SpectralDecomposition, kscale: float, lambda_prime: float, s: float
-) -> float:
+def _projected_norm_sq(e: np.ndarray, dec: SpectralDecomposition, lambda_prime: float, s: float) -> float:
     # null-space modes carry zero K-weight, so truncated coordinates are exact
     mu = dec.eigenvalues[: dec.rank]
-    weights = kscale * mu * (mu + lambda_prime) ** (2.0 * s)
+    weights = dec.kscale * mu * (mu + lambda_prime) ** (2.0 * s)
     return float(np.dot(weights, e * e))

@@ -29,7 +29,7 @@ from .errors import (
 )
 from .estimators import FilterMethod, TIKHONOV, fit_from_decomposition, predict
 from .grid import Grid, geometric_grid, heuristic_lambda0, lambda0_from_effdim
-from .kernels import Dataset, KernelSpec, gram_decomposition, gram_eigenvalues, gram_scale
+from .kernels import Dataset, KernelSpec, gram_decomposition, gram_eigenvalues
 from .synthetic import (
     ApproxErrorOracle,
     SyntheticModel,
@@ -97,8 +97,7 @@ def holdout_select(
     xs_tr, ys_tr = data.xs[:n_train], data.ys[:n_train]
     xs_va, ys_va = data.xs[n_train:], data.ys[n_train:]
     dec = gram_decomposition(k, xs_tr)
-    kscale = gram_scale(k, n_train)
-    fits = fit_from_decomposition(dec, kscale, ys_tr, m, grid.lambdas)
+    fits = fit_from_decomposition(dec, ys_tr, m, grid.lambdas)
     del dec  # release the decomposition's n_train-row factor before predict builds its matrices
     mse = np.mean((ys_va[:, None] - predict(fits, k, xs_tr, xs_va)) ** 2, axis=0)
     # last index of the minimum, so the larger lambda wins ties
@@ -127,9 +126,8 @@ def _replication_rows(
         # against references recorded with the explicit eigenvectors phi @ w, and fitting
         # through the factored form sums in another order, which moves them by up to 1e-11.
         dec = gram_decomposition(kernel, data.xs, sample.features).lifted()
-        kscale = gram_scale(kernel, n)
         if fixed_grid is None:
-            lam0 = heuristic_lambda0(dec, n, cfg.grid_q)
+            lam0 = heuristic_lambda0(dec.eigenvalues, n, cfg.grid_q)
             grid = geometric_grid(lam0, cfg.grid_q)
             lam_star = lambda_star(grid, oracle, effdim_fn, model.params(n))
         else:
@@ -147,12 +145,10 @@ def _replication_rows(
         errs_s12 = None
         try:
             # one coefficient column per grid lambda, in grid order, then lambda_oracle's
-            fits = fit_from_decomposition(
-                dec, kscale, data.ys, filt, np.append(grid.lambdas, lam_oracle)
-            )
+            fits = fit_from_decomposition(dec, data.ys, filt, np.append(grid.lambdas, lam_oracle))
             # one-for-all: the L2 (s = 1/2) choice is used in every norm; s = 0 is its comparison
             diag_half, diag_zero = (
-                balancing_select(fits[:, :-1], grid, dec, kscale, dataclasses.replace(cfg.balancing, s=s), n)
+                balancing_select(fits[:, :-1], grid, dec, dataclasses.replace(cfg.balancing, s=s))
                 for s in (0.5, 0.0)
             )
 

@@ -20,7 +20,6 @@ from .errors import (
     NoRootError,
     NotReachedError,
 )
-from .linalg import SpectralDecomposition
 
 BISECTION_LO = 1e-16
 BISECTION_MAX_ITER = 200
@@ -97,7 +96,7 @@ def lambda0_from_effdim(effdim_fn: Callable[[float], float], n: int) -> float:
     return _bisect_increasing(f, BISECTION_LO, 1.0)
 
 
-def heuristic_lambda0(spectrum: SpectralDecomposition | np.ndarray, n: int, q: float) -> float:
+def heuristic_lambda0(eigenvalues: np.ndarray, n: int, q: float) -> float:
     """Data-driven smallest grid point: walk lambda_j = q^{-j} down from 1 and stop at
     the first j where the sample-error proxy sqrt(max(N_x, 1) / (n lambda)) reaches
     HEURISTIC_THRESHOLD. The proxy leaves out sigma, so the stopping point
@@ -112,7 +111,7 @@ def heuristic_lambda0(spectrum: SpectralDecomposition | np.ndarray, n: int, q: f
     j = 1
     while True:
         lam = q ** (-j)
-        proxy = np.sqrt(effdim_clamped(empirical_effdim(spectrum, lam)) / (n * lam))
+        proxy = np.sqrt(effdim_clamped(empirical_effdim(eigenvalues, lam)) / (n * lam))
         if proxy >= HEURISTIC_THRESHOLD:
             return float(lam)
         if lam < floor:

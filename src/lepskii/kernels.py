@@ -14,7 +14,7 @@ import io
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Union
 
@@ -253,11 +253,6 @@ def normalized_gram(k: KernelSpec, xs: np.ndarray) -> SymMatrix:
     return SymMatrix(g)
 
 
-def gram_scale(k: KernelSpec, n: int) -> float:
-    """The factor n kappa^2 relating K = gram_scale * G."""
-    return n * kappa_squared(k)
-
-
 def _factor_route(
     k: KernelSpec, xs: np.ndarray, features: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray] | None:
@@ -270,7 +265,7 @@ def _factor_route(
     n = xs.shape[0]
     if not (isinstance(k, ExplicitSpectrumKernel) and n > k.size):
         return None
-    scale = np.sqrt(gram_scale(k, n))
+    scale = np.sqrt(n * kappa_squared(k))
     if features is None:
         phi = feature_matrix(k, xs)
         phi /= scale
@@ -286,7 +281,8 @@ def _factor_route(
 def gram_decomposition(
     k: KernelSpec, xs: np.ndarray, features: np.ndarray | None = None
 ) -> SpectralDecomposition:
-    """Spectral decomposition of the normalized Gram matrix G.
+    """Spectral decomposition of the normalized Gram matrix G, carrying
+    kscale = n kappa^2 so that K = kscale * G.
 
     For explicit-spectrum kernels with n > D this goes through the n x D
     feature factor (eigendecomposing Phi^T Phi / (n kappa^2), D x D) instead
@@ -297,9 +293,10 @@ def gram_decomposition(
     `features` so it is not built again; other routes ignore it.
     """
     xs = _check_domain(k, xs)
+    kscale = xs.shape[0] * kappa_squared(k)
     factor = _factor_route(k, xs, features)
     if factor is None:
-        return sym_eigendecompose(normalized_gram(k, xs), normalized=True)
+        return replace(sym_eigendecompose(normalized_gram(k, xs), normalized=True), kscale=kscale)
     phi, c = factor
     del factor
     vals, vecs = np.linalg.eigh(c)
@@ -311,7 +308,7 @@ def gram_decomposition(
     del vecs  # only the kept copy w is needed
     # data-space eigenvectors u = phi w / sqrt(nu), kept factored as basis phi, coords w
     w /= np.sqrt(vals)
-    return truncated_decomposition(vals, w, dim=xs.shape[0], basis=phi)
+    return replace(truncated_decomposition(vals, w, dim=xs.shape[0], basis=phi), kscale=kscale)
 
 
 def gram_eigenvalues(k: KernelSpec, xs: np.ndarray) -> np.ndarray:

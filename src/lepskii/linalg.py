@@ -60,11 +60,16 @@ class SpectralDecomposition:
     never formed unless asked for. When r < dim the trailing eigenvalues are all
     exactly zero and their eigenspace is the (implicit) orthogonal complement of
     the stored columns.
+
+    ``kscale`` is the factor relating the kernel matrix to the decomposed one,
+    K = kscale * G: n kappa^2 for a normalized Gram decomposition (see
+    :func:`lepskii.kernels.gram_decomposition`), 1 for a raw matrix.
     """
 
     eigenvalues: np.ndarray
     coords: np.ndarray
     basis: np.ndarray | None = None
+    kscale: float = 1.0
 
     @property
     def dim(self) -> int:
@@ -97,7 +102,7 @@ class SpectralDecomposition:
         """The same decomposition with its eigenvectors multiplied out."""
         if self.basis is None:
             return self
-        return SpectralDecomposition(eigenvalues=self.eigenvalues, coords=self.vectors)
+        return SpectralDecomposition(eigenvalues=self.eigenvalues, coords=self.vectors, kscale=self.kscale)
 
 
 def _clamp_unit_interval(eigenvalues: np.ndarray) -> np.ndarray:
@@ -123,14 +128,9 @@ def sym_eigendecompose(m: SymMatrix | np.ndarray, normalized: bool = False) -> S
     """
     if not isinstance(m, SymMatrix):
         m = SymMatrix(np.asarray(m, dtype=float))
-    a = m.values
-    if m.dim == 1:
-        vals = a[0, :1].copy()
-        vecs = np.ones((1, 1))
-    else:
-        vals, vecs = np.linalg.eigh(a)
-        vals = vals[::-1].copy()
-        vecs = vecs[:, ::-1].copy()
+    vals, vecs = np.linalg.eigh(m.values)
+    vals = vals[::-1].copy()
+    vecs = vecs[:, ::-1].copy()
     if normalized:
         vals = _clamp_unit_interval(vals)
     return SpectralDecomposition(eigenvalues=vals, coords=vecs)

@@ -10,7 +10,7 @@ def brute_force_jplus(coeffs, lams, g_dense, kscale, cfg, n):
     fractional powers, direct linear solves for the effective dimension."""
     kmat = kscale * g_dense
     size = len(lams)
-    mult = cfg.bal_factor * cfg.c_s
+    mult = cfg.bal_factor
     if cfg.use_theoretical_constant:
         mult *= np.log(16.0 * size / cfg.eta) ** 2
 

@@ -31,7 +31,6 @@ from lepskii.kernels import (
     ExplicitSpectrumKernel,
     gram,
     gram_decomposition,
-    gram_scale,
     kappa_squared,
     normalized_gram,
 )
@@ -56,7 +55,7 @@ def pinned_instance_rows():
         replications=100,
         seed_base=0,
         grid_q=2.0,
-        balancing=BalancingConfig(s=0.5, eta=0.1, sigma=0.3, M_bound=0.3, c_s=1.0, bal_factor=20.0),
+        balancing=BalancingConfig(s=0.5, eta=0.1, sigma=0.3, M_bound=0.3, bal_factor=20.0),
         filters=(TIKHONOV,),
         lambda0_mode="model",
     )
@@ -171,7 +170,7 @@ def test_c7_exact_property_suites(capsys):
         sample = generate(model, 30, seed=seed)
         k = model.kernel()
         c = fit_from_decomposition(
-            gram_decomposition(k, sample.data.xs), gram_scale(k, 30), sample.data.ys, TIKHONOV, 0.07
+            gram_decomposition(k, sample.data.xs), sample.data.ys, TIKHONOV, 0.07
         )
         kmat = gram(k, sample.data.xs)
         direct = np.linalg.solve(kmat + 30 * kappa_squared(k) * 0.07 * np.eye(30), sample.data.ys)
@@ -220,13 +219,12 @@ def test_c7_exact_property_suites(capsys):
         k = ExplicitSpectrumKernel(np.sort(rng.random(8))[::-1] + 0.05)
         xs = rng.random(15)
         dec = gram_decomposition(k, xs)
-        kscale = gram_scale(k, 15)
         d = rng.standard_normal(15)
         zero = np.zeros(15)
         s = float(rng.uniform(0.01, 0.49))
-        mid = weighted_diff_norm(d, zero, dec, kscale, 0.0, s)
-        half = weighted_diff_norm(d, zero, dec, kscale, 0.0, 0.5)
-        base = weighted_diff_norm(d, zero, dec, kscale, 0.0, 0.0)
+        mid = weighted_diff_norm(d, zero, dec, 0.0, s)
+        half = weighted_diff_norm(d, zero, dec, 0.0, 0.5)
+        base = weighted_diff_norm(d, zero, dec, 0.0, 0.0)
         if mid > half ** (2 * s) * base ** (1 - 2 * s) * (1.0 + 1e-9):
             failures.append(f"interpolation seed {seed}")
 
@@ -237,10 +235,9 @@ def test_c7_exact_property_suites(capsys):
         sample = generate(model, 30, seed=seed)
         kernel = model.kernel()
         dec = gram_decomposition(kernel, sample.data.xs)
-        kscale = gram_scale(kernel, 30)
         grid = geometric_grid(0.04, 2.0)
         fits = np.column_stack(
-            [fit_from_decomposition(dec, kscale, sample.data.ys, TIKHONOV, float(lam)) for lam in grid.lambdas]
+            [fit_from_decomposition(dec, sample.data.ys, TIKHONOV, float(lam)) for lam in grid.lambdas]
         )
         cfg = BalancingConfig(
             s=float(rng.uniform(0.0, 0.5)),
@@ -248,9 +245,10 @@ def test_c7_exact_property_suites(capsys):
             M_bound=0.1,
             bal_factor=float(rng.choice([1.0, 5.0, 20.0])),
         )
-        diag = balancing_select(fits, grid, dec, kscale, cfg, 30)
+        diag = balancing_select(fits, grid, dec, cfg)
         g_dense = normalized_gram(kernel, sample.data.xs).values
         lams = [float(v) for v in grid.lambdas]
+        kscale = 30 * kappa_squared(kernel)
         hat, accepted = brute_force_jplus(dict(zip(lams, fits.T)), lams, g_dense, kscale, cfg, 30)
         if diag.lambda_hat != hat or list(diag.jplus) != accepted:
             failures.append(f"balancing-oracle seed {seed}")

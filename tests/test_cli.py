@@ -7,7 +7,7 @@ from lepskii.balancing import BalancingConfig, balancing_select
 from lepskii.cli import dispatch, parse_kernel
 from lepskii.estimators import TIKHONOV, fit_from_decomposition
 from lepskii.grid import geometric_grid, heuristic_lambda0
-from lepskii.kernels import GaussianKernel, gram_decomposition, gram_scale, read_dataset_csv
+from lepskii.kernels import GaussianKernel, gram_decomposition, read_dataset_csv
 from lepskii.synthetic import generate, model_from_dict
 
 
@@ -113,15 +113,13 @@ def test_grid_command(tmp_path, model_file):
     assert doc2["lambdas"][0] <= 0.03
 
 
-def test_malformed_threads_environment_is_a_usage_error_of_experiment_only(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("LEPSKII_THREADS", "two")
-    assert dispatch(["grid", "--n", "50", "--lambda0", "0.01", "--out", str(tmp_path / "g.json")]) == 0
+def test_malformed_threads_flag_is_a_usage_error(tmp_path, capsys):
+    argv = ["experiment", "--config", str(tmp_path / "cfg.json"), "--out-dir", str(tmp_path)]
     with pytest.raises(SystemExit) as exc:
-        dispatch(["experiment", "--config", str(tmp_path / "cfg.json"), "--out-dir", str(tmp_path)])
+        dispatch(argv + ["--threads", "two"])
     assert exc.value.code == 2
     assert "invalid int value: 'two'" in capsys.readouterr().err
-    # an explicit flag wins over the environment; the missing config is then a domain error
-    argv = ["experiment", "--config", str(tmp_path / "cfg.json"), "--out-dir", str(tmp_path)]
+    # a well-formed flag gets past parsing; the missing config is then a domain error
     assert dispatch(argv + ["--threads", "1"]) == 1
 
 
@@ -160,13 +158,12 @@ def test_balance_cli_matches_library(tmp_path, model_file):
     data = read_dataset_csv(data_path)
     kernel = GaussianKernel(0.2)
     dec = gram_decomposition(kernel, data.xs)
-    kscale = gram_scale(kernel, data.n)
-    lam0 = heuristic_lambda0(dec, data.n, 1.5)
+    lam0 = heuristic_lambda0(dec.eigenvalues, data.n, 1.5)
     grid = geometric_grid(lam0, 1.5)
     fits = np.column_stack(
-        [fit_from_decomposition(dec, kscale, data.ys, TIKHONOV, float(lam)) for lam in grid.lambdas]
+        [fit_from_decomposition(dec, data.ys, TIKHONOV, float(lam)) for lam in grid.lambdas]
     )
-    diag = balancing_select(fits, grid, dec, kscale, BalancingConfig(sigma=0.3, eta=0.1), data.n)
+    diag = balancing_select(fits, grid, dec, BalancingConfig(sigma=0.3, eta=0.1))
     assert doc["lambda_hat"] == diag.lambda_hat
     assert doc["jplus"] == list(diag.jplus)
     assert len(doc["pairwise_norms"]) == len(diag.pairwise_norms)
@@ -209,6 +206,7 @@ def test_experiment_command_roundtrip_and_determinism(tmp_path, model_file):
     [
         (None, "filtres"),
         ("balancing", "bal_factr"),
+        ("balancing", "c_s"),
         ("spectrum", "DD"),
         ("source", "radius"),
         ("noise", "sgima"),

@@ -19,7 +19,6 @@ from lepskii.kernels import (
     GaussianKernel,
     gram,
     gram_decomposition,
-    gram_scale,
     kappa_squared,
 )
 from lepskii.synthetic import generate, polynomial_spectrum_model
@@ -125,9 +124,8 @@ def test_predict_coefficient_matrix_matches_vector_calls(kernel):
     sample = generate(model, 40, seed=6)  # n > D: explicit kernel on the factor route
     k = GaussianKernel(0.3) if kernel == "gaussian" else model.kernel()
     dec = gram_decomposition(k, sample.data.xs)
-    kscale = gram_scale(k, 40)
     lams = (0.01, 0.1, 1.0)
-    cmat = np.column_stack([fit_from_decomposition(dec, kscale, sample.data.ys, TIKHONOV, lam) for lam in lams])
+    cmat = np.column_stack([fit_from_decomposition(dec, sample.data.ys, TIKHONOV, lam) for lam in lams])
     xs_new = np.linspace(0.0, 1.0, 7)
     preds = predict(cmat, k, sample.data.xs, xs_new)
     assert preds.shape == (7, len(lams))
@@ -147,74 +145,72 @@ def test_fit_non_finite_coefficients_rejected():
     xs = np.array([0.1, 0.4, 0.8])
     dec = gram_decomposition(k, xs)
     with pytest.raises(DomainViolationError, match="non-finite"):
-        fit_from_decomposition(dec, gram_scale(k, 3), np.array([1.0, np.nan, 0.0]), TIKHONOV, 0.1)
+        fit_from_decomposition(dec, np.array([1.0, np.nan, 0.0]), TIKHONOV, 0.1)
 
 
 def _scalar_setup():
     k = ExplicitSpectrumKernel(np.array([2.0]))  # kappa^2 = 2, G = [1] at n = 1
     xs = np.array([0.0])
-    dec = gram_decomposition(k, xs)
-    return k, dec, gram_scale(k, 1)
+    return k, gram_decomposition(k, xs)
 
 
 def test_weighted_diff_norm_scalar_cases():
-    k, dec, kscale = _scalar_setup()
+    k, dec = _scalar_setup()
     kappa = np.sqrt(kappa_squared(k))
     c1, c2 = np.array([1.0]), np.array([0.0])
-    assert weighted_diff_norm(c1, c1, dec, kscale, 0.5, 0.25) == 0.0
-    assert weighted_diff_norm(c1, c2, dec, kscale, 0.5, 0.0) == pytest.approx(kappa)
-    assert weighted_diff_norm(c1, c2, dec, kscale, 0.5, 0.5) == pytest.approx(kappa * np.sqrt(1.5))
+    assert weighted_diff_norm(c1, c1, dec, 0.5, 0.25) == 0.0
+    assert weighted_diff_norm(c1, c2, dec, 0.5, 0.0) == pytest.approx(kappa)
+    assert weighted_diff_norm(c1, c2, dec, 0.5, 0.5) == pytest.approx(kappa * np.sqrt(1.5))
 
 
 def test_weighted_diff_norm_mismatch():
-    _, dec, kscale = _scalar_setup()
+    _, dec = _scalar_setup()
     with pytest.raises(DimensionMismatchError):
-        weighted_diff_norm(np.array([1.0, 2.0]), np.array([0.0, 0.0]), dec, kscale, 0.5, 0.0)
+        weighted_diff_norm(np.array([1.0, 2.0]), np.array([0.0, 0.0]), dec, 0.5, 0.0)
 
 
 def _random_instance(seed, n=15, d=8):
     rng = np.random.default_rng(seed)
     k = ExplicitSpectrumKernel(np.sort(rng.random(d))[::-1] + 0.05)
     xs = rng.random(n)
-    dec = gram_decomposition(k, xs)
-    return rng, dec, gram_scale(k, n)
+    return rng, gram_decomposition(k, xs)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_weighted_norm_monotone_in_lambda_prime(seed):
-    rng, dec, kscale = _random_instance(seed)
+    rng, dec = _random_instance(seed)
     c1 = rng.standard_normal(15)
     c2 = rng.standard_normal(15)
     s = rng.uniform(0.05, 0.5)
     lams = np.sort(rng.uniform(0.0, 1.0, size=4))
-    vals = [weighted_diff_norm(c1, c2, dec, kscale, float(lp), s) for lp in lams]
+    vals = [weighted_diff_norm(c1, c2, dec, float(lp), s) for lp in lams]
     assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
 
 
 def test_interpolation_inequality_hundred_instances():
     # || B^s d || <= || B^{1/2} d ||^{2s} * || d ||^{1 - 2s} at lambda' = 0
     for seed in range(100):
-        rng, dec, kscale = _random_instance(seed)
+        rng, dec = _random_instance(seed)
         d = rng.standard_normal(15)
         zero = np.zeros(15)
         s = rng.uniform(0.01, 0.49)
-        mid = weighted_diff_norm(d, zero, dec, kscale, 0.0, s)
-        half = weighted_diff_norm(d, zero, dec, kscale, 0.0, 0.5)
-        base = weighted_diff_norm(d, zero, dec, kscale, 0.0, 0.0)
+        mid = weighted_diff_norm(d, zero, dec, 0.0, s)
+        half = weighted_diff_norm(d, zero, dec, 0.0, 0.5)
+        base = weighted_diff_norm(d, zero, dec, 0.0, 0.0)
         assert mid <= half ** (2 * s) * base ** (1 - 2 * s) * (1.0 + 1e-9)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_weighted_norm_triangle_inequality(seed):
-    rng, dec, kscale = _random_instance(seed)
+    rng, dec = _random_instance(seed)
     c1, c2, c3 = (rng.standard_normal(15) for _ in range(3))
     s = rng.uniform(0.0, 0.5)
     lp = rng.uniform(0.0, 1.0)
-    d13 = weighted_diff_norm(c1, c3, dec, kscale, lp, s)
-    d12 = weighted_diff_norm(c1, c2, dec, kscale, lp, s)
-    d23 = weighted_diff_norm(c2, c3, dec, kscale, lp, s)
+    d13 = weighted_diff_norm(c1, c3, dec, lp, s)
+    d12 = weighted_diff_norm(c1, c2, dec, lp, s)
+    d23 = weighted_diff_norm(c2, c3, dec, lp, s)
     assert d13 <= d12 + d23 + 1e-12
 
 
@@ -233,19 +229,18 @@ def test_fit_from_decomposition_shared_across_lambdas():
         ys = sample.data.ys
         dec = gram_decomposition(k, sample.data.xs)
         assert (dec.basis is None) == (n <= k.size)
-        kscale = gram_scale(k, n)
         for lam in lams:
-            shared = fit_from_decomposition(dec, kscale, ys, TIKHONOV, lam)
+            shared = fit_from_decomposition(dec, ys, TIKHONOV, lam)
             direct = fit(sample.data, k, TIKHONOV, lam)
             assert np.allclose(shared, direct, atol=1e-12)
         # the grid-wide fit is the column stack of the scalar fits
         for method in (TIKHONOV, SPECTRAL_CUTOFF, LANDWEBER):
-            grid_fit = fit_from_decomposition(dec, kscale, ys, method, lams)
+            grid_fit = fit_from_decomposition(dec, ys, method, lams)
             stacked = np.column_stack(
-                [fit_from_decomposition(dec, kscale, ys, method, float(lam)) for lam in lams]
+                [fit_from_decomposition(dec, ys, method, float(lam)) for lam in lams]
             )
             assert grid_fit.shape == (n, lams.size)
             err = np.linalg.norm(grid_fit - stacked, axis=0)
             assert np.all(err <= 1e-13 * np.linalg.norm(stacked, axis=0))
     with pytest.raises(InvalidLambdaError):
-        fit_from_decomposition(dec, kscale, ys, TIKHONOV, np.array([0.1, 0.0]))
+        fit_from_decomposition(dec, ys, TIKHONOV, np.array([0.1, 0.0]))

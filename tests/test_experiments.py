@@ -23,7 +23,7 @@ from lepskii.experiments import (
     summarize,
 )
 from lepskii.grid import geometric_grid
-from lepskii.kernels import Dataset, gram_decomposition, gram_eigenvalues, gram_scale, kappa_squared
+from lepskii.kernels import Dataset, gram_decomposition, gram_eigenvalues, kappa_squared
 from lepskii.synthetic import generate, polynomial_spectrum_model
 
 
@@ -44,10 +44,9 @@ def test_holdout_brute_force_agreement():
         xs_tr, ys_tr = sample.data.xs[:n_tr], sample.data.ys[:n_tr]
         xs_va, ys_va = sample.data.xs[n_tr:], sample.data.ys[n_tr:]
         dec = gram_decomposition(kernel, xs_tr)
-        kscale = gram_scale(kernel, n_tr)
         best, best_mse = None, np.inf
         for cand in grid.lambdas:
-            c = fit_from_decomposition(dec, kscale, ys_tr, TIKHONOV, float(cand))
+            c = fit_from_decomposition(dec, ys_tr, TIKHONOV, float(cand))
             mse = float(np.mean((ys_va - predict(c, kernel, xs_tr, xs_va)) ** 2))
             if mse <= best_mse:
                 best, best_mse = float(cand), mse

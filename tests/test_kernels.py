@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from _oracles import explicit_kernel_matrix
+from lepskii import experiments
 from lepskii.errors import DimensionMismatchError, DomainViolationError, NotPositiveSemiDefiniteError
 from lepskii.kernels import (
     Dataset,
@@ -17,13 +18,14 @@ from lepskii.kernels import (
     gram,
     gram_decomposition,
     gram_eigenvalues,
-    gram_scale,
     kappa_squared,
     normalized_gram,
     read_dataset_csv,
     trig_basis,
     write_dataset_csv,
 )
+from lepskii.estimators import TIKHONOV
+from lepskii.grid import geometric_grid
 from lepskii.linalg import sym_eigendecompose
 
 
@@ -290,6 +292,26 @@ def test_dataset_validation():
         Dataset(xs=np.array([1.0, 2.0]), ys=np.array([1.0]))
 
 
-def test_gram_scale():
-    k = ExplicitSpectrumKernel(np.array([1.0, 0.25]))
-    assert gram_scale(k, 10) == pytest.approx(10 * kappa_squared(k))
+def test_gram_decomposition_carries_its_scale(monkeypatch):
+    rng = np.random.default_rng(4)
+    xs = rng.random(18)
+    ys = rng.standard_normal(18)
+    explicit = ExplicitSpectrumKernel(1.0 / np.arange(1, 13) ** 2)  # D = 12 < n: factor route
+    kernels = (GaussianKernel(0.3), PolynomialKernel(degree=3, offset=1.0), explicit)
+    for k in kernels:
+        dec = gram_decomposition(k, xs)
+        assert (dec.basis is not None) == (k is explicit)
+        assert dec.kscale == len(xs) * kappa_squared(k)
+        assert dec.lifted().kscale == dec.kscale
+
+    # the hold-out decomposes its n_train head points and must carry n_train kappa^2
+    seen = []
+
+    def recording(k, points, features=None):
+        seen.append(gram_decomposition(k, points, features))
+        return seen[-1]
+
+    monkeypatch.setattr(experiments, "gram_decomposition", recording)
+    experiments.holdout_select(Dataset(xs, ys), 0.5, geometric_grid(0.05, 2.0), explicit, TIKHONOV)
+    assert [dec.dim for dec in seen] == [9]
+    assert seen[0].kscale == 9 * kappa_squared(explicit)

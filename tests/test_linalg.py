@@ -98,6 +98,14 @@ def test_eigenvalues_sorted_descending():
     assert np.all(np.diff(d.eigenvalues) <= 1e-12)
 
 
+@pytest.mark.parametrize("a", [2.5, -3.0, 0.0, -0.0, 1e-300])
+def test_one_by_one_matrix_is_its_own_eigenpair(a):
+    # bit for bit what a special-cased 1 x 1 path returned: the entry and the vector [1]
+    d = sym_eigendecompose(np.array([[a]]))
+    assert d.eigenvalues.tobytes() == np.array([a]).tobytes()
+    assert d.vectors.tobytes() == np.ones((1, 1)).tobytes()
+
+
 def test_non_symmetric_rejected():
     with pytest.raises(NonSymmetricError):
         sym_eigendecompose(np.array([[1.0, 2.0], [0.5, 1.0]]))
@@ -143,16 +151,15 @@ def test_truncated_decomposition_matches_full():
     assert trunc.rank == 2 and trunc.dim == 5
     assert np.allclose(trunc.eigenvalues[2:], 0.0)
     ys, c1, c2 = rng.standard_normal((3, 5))
-    kscale = 5.0
     for method in FILTERS.values():
         for lam in (0.1, 0.5):
-            c_full = fit_from_decomposition(full, kscale, ys, method, lam)
-            c_trunc = fit_from_decomposition(trunc, kscale, ys, method, lam)
+            c_full = fit_from_decomposition(full, ys, method, lam)
+            c_trunc = fit_from_decomposition(trunc, ys, method, lam)
             assert np.linalg.norm(c_full - c_trunc) <= 1e-8 * max(1.0, np.linalg.norm(c_full))
     for s in (0.0, 0.3, 0.5):
         for lam_p in (0.0, 0.2):
-            w_full = weighted_diff_norm(c1, c2, full, kscale, lam_p, s)
-            w_trunc = weighted_diff_norm(c1, c2, trunc, kscale, lam_p, s)
+            w_full = weighted_diff_norm(c1, c2, full, lam_p, s)
+            w_trunc = weighted_diff_norm(c1, c2, trunc, lam_p, s)
             assert w_trunc == pytest.approx(w_full, rel=1e-8)
 
 
