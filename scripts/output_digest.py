@@ -9,9 +9,10 @@ The calls (CALLS below) run one at a time in a fresh temporary directory, each i
 interpreter that imports the library from the given `src/` directory, with BLAS pinned to
 one thread. They cover `simulate`, `effdim` on the dense and the factor route, `grid`,
 `fit`, `balance` with a Gaussian kernel (practical constant) and with a polynomial kernel
-(theoretical constant, s = 0), and a D = 100 `experiment`. The script prints one
-`sha256  file` line per output file. With `--against` it runs the same calls on the
-other tree, prints `same` or `DIFFERS` per file, and exits 1 when any file differs.
+(theoretical constant, s = 0), a D = 100 `experiment`, and `rate` on that experiment's
+results. The script prints one `sha256  file` line per output file. With `--against` it
+runs the same calls on the other tree, prints `same` or `DIFFERS` per file, and exits 1
+when any file differs.
 """
 
 from __future__ import annotations
@@ -68,6 +69,7 @@ CALLS = (
       "--out", "balance_poly.json"], ["balance_poly.json"]),
     (["experiment", "--config", "experiment.json", "--out-dir", "experiment"],
      ["experiment/results.csv", "experiment/summary.json"]),
+    (["rate", "--results", "experiment/results.csv", "--out", "rate.json"], ["rate.json"]),
 )
 
 # imports lepskii.cli from argv[1], refuses any other copy, and dispatches the rest

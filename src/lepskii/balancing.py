@@ -16,7 +16,7 @@ import numpy as np
 
 from .effdim import SampleErrorParams, effdim_clamped, empirical_effdim, sample_error
 from .errors import DegenerateFitError, DomainViolationError, IncompleteFamilyError
-from .estimators import FilterMethod, TIKHONOV, _projected_norm_sq, fit_from_decomposition
+from .estimators import FilterMethod, TIKHONOV, fit_from_decomposition
 from .grid import Grid
 from .kernels import Dataset
 from .linalg import SpectralDecomposition
@@ -68,10 +68,18 @@ class BalancingDiagnostics:
     s: float
 
 
-def empirical_sample_error(eigenvalues: np.ndarray, cfg: BalancingConfig, n: int, lam: float) -> float:
-    """S_x(n, lambda) + M/(n lambda) from the empirical Gram spectrum."""
-    params = SampleErrorParams(sigma=cfg.sigma, M_bound=cfg.M_bound, n=n)
+def empirical_sample_error(eigenvalues: np.ndarray, cfg: BalancingConfig, lam: float) -> float:
+    """S_x(n, lambda) + M/(n lambda) from the empirical Gram spectrum, n = len(eigenvalues)."""
+    params = SampleErrorParams(sigma=cfg.sigma, M_bound=cfg.M_bound, n=len(eigenvalues))
     return sample_error(params, effdim_clamped(empirical_effdim(eigenvalues, lam)), lam)
+
+
+def _projected_norm_sq(e: np.ndarray, dec: SpectralDecomposition, lambda_prime: float, s: float) -> float:
+    """||(G + lambda')^s (f - f')||_H^2, given e = dec.project(c - c') of the coefficients."""
+    # null-space modes carry zero K-weight, so truncated coordinates are exact
+    mu = dec.eigenvalues[: dec.rank]
+    weights = dec.kscale * mu * (mu + lambda_prime) ** (2.0 * s)
+    return float(np.dot(weights, e * e))
 
 
 def balancing_select(
@@ -95,8 +103,7 @@ def balancing_select(
 
     mult = cfg.threshold_multiplier(len(lams))
     thresholds = {
-        lam: mult * lam**cfg.s * empirical_sample_error(dec.eigenvalues, cfg, dec.dim, lam)
-        for lam in lams
+        lam: mult * lam**cfg.s * empirical_sample_error(dec.eigenvalues, cfg, lam) for lam in lams
     }
 
     # one projection of all coefficient vectors onto the shared eigenbasis

@@ -17,6 +17,7 @@ from .effdim import empirical_effdim, model_effdim, two_sided_check
 from .errors import LepskiiError
 from .estimators import FILTERS, fit, fit_from_decomposition, predict
 from .experiments import (
+    FLOAT_COLUMNS,
     ExperimentConfig,
     fit_rate,
     format_float,
@@ -56,6 +57,17 @@ def parse_kernel(text: str):
     except (ValueError, LepskiiError) as exc:
         raise argparse.ArgumentTypeError(f"bad kernel spec {text!r}: {exc}")
     raise argparse.ArgumentTypeError(f"bad kernel spec {text!r} (expected gaussian:BW or poly:DEG:OFFSET[:RADIUS])")
+
+
+def _thread_count(text: str) -> int:
+    """--threads value: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _write_or_print(text: str, out: str | None) -> None:
@@ -136,7 +148,7 @@ def cmd_balance(args) -> int:
     kernel = args.kernel
     dec = gram_decomposition(kernel, data.xs)
     if args.lambda0 == "auto":
-        lam0 = heuristic_lambda0(dec.eigenvalues, data.n, args.q)
+        lam0 = heuristic_lambda0(dec.eigenvalues, args.q)
     else:
         lam0 = float(args.lambda0)
     grid = geometric_grid(lam0, args.q)
@@ -300,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="full Monte-Carlo run from a config document")
     p.add_argument("--config", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_thread_count, default=1)
     p.add_argument(
         "--timings",
         action="store_true",
@@ -310,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rate", help="log-log rate fit over a results CSV")
     p.add_argument("--results", required=True)
-    p.add_argument("--column", default="err_s12_at_hat")
+    p.add_argument("--column", choices=FLOAT_COLUMNS, default="err_s12_at_hat")
     p.add_argument("--out")
     p.set_defaults(func=cmd_rate)
 

@@ -76,11 +76,6 @@ def sample_error(p: SampleErrorParams, effdim_clamped_val: float, lam: float) ->
     return float(p.sigma * np.sqrt(effdim_clamped_val / (p.n * lam)) + p.M_bound / (p.n * lam))
 
 
-def model_sample_error(p: SampleErrorParams, t_bar: np.ndarray, lam: float) -> float:
-    """S(n, lambda) for a declared model spectrum."""
-    return sample_error(p, effdim_clamped(model_effdim(t_bar, lam)), lam)
-
-
 @dataclass(frozen=True)
 class TwoSidedCheck:
     delta: float

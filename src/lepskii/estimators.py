@@ -1,8 +1,9 @@
-"""Spectral-filter estimators and the weighted empirical norms used by balancing.
+"""Spectral-filter estimators: fitting coefficients and predicting from them.
 
 A filter g_lam approximates t -> 1/t on the spectrum of the normalized Gram
 matrix G; the regularized coefficients are c = g_lam(G) y / (n kappa^2). All
-three filters satisfy sup_t t g_lam(t) <= 1 on [0, 1].
+three filters satisfy sup_t t g_lam(t) <= 1 on [0, 1]. The norm in which
+balancing compares fits lives in :mod:`lepskii.balancing`.
 """
 
 from __future__ import annotations
@@ -12,11 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .effdim import check_lambda
-from .errors import (
-    DimensionMismatchError,
-    DomainViolationError,
-    InvalidLambdaError,
-)
+from .errors import DimensionMismatchError, DomainViolationError
 from .kernels import Dataset, KernelSpec, ExplicitSpectrumKernel, cross_gram, feature_matrix, gram_decomposition
 from .linalg import SpectralDecomposition
 
@@ -111,31 +108,3 @@ def predict(c: np.ndarray, k: KernelSpec, train_xs: np.ndarray, xs_new: np.ndarr
         w = feature_matrix(k, train_xs).T @ c
         return feature_matrix(k, np.asarray(xs_new, dtype=float)) @ w
     return cross_gram(k, np.asarray(xs_new, dtype=float), train_xs) @ c
-
-
-def weighted_diff_norm(
-    c1: np.ndarray, c2: np.ndarray, dec: SpectralDecomposition, lambda_prime: float, s: float
-) -> float:
-    """|| (G + lambda')^s (f_1 - f_2) ||_H for coefficient vectors c1, c2.
-
-    Computed as sqrt(d^T K (G + lambda')^{2s} d) with d = c1 - c2 in the shared
-    eigenbasis of K = dec.kscale * G; s = 0 gives the plain RKHS norm. lambda' = 0
-    is admitted (used by the interpolation-inequality checks).
-    """
-    c1 = np.asarray(c1, dtype=float)
-    c2 = np.asarray(c2, dtype=float)
-    if c1.shape != c2.shape or c1.shape[0] != dec.dim:
-        raise DimensionMismatchError("coefficient vectors must match the decomposition dimension")
-    if not (0.0 <= lambda_prime <= 1.0):
-        raise InvalidLambdaError(f"lambda' must lie in [0, 1], got {lambda_prime}")
-    if not (0.0 <= s <= 0.5):
-        raise DomainViolationError(f"norm parameter s must lie in [0, 1/2], got {s}")
-    e = dec.project(c1 - c2)
-    return float(np.sqrt(max(_projected_norm_sq(e, dec, lambda_prime, s), 0.0)))
-
-
-def _projected_norm_sq(e: np.ndarray, dec: SpectralDecomposition, lambda_prime: float, s: float) -> float:
-    # null-space modes carry zero K-weight, so truncated coordinates are exact
-    mu = dec.eigenvalues[: dec.rank]
-    weights = dec.kscale * mu * (mu + lambda_prime) ** (2.0 * s)
-    return float(np.dot(weights, e * e))

@@ -24,7 +24,6 @@ from .effdim import empirical_effdim, model_effdim, two_sided_check
 from .errors import (
     DegenerateSplitError,
     InsufficientDataError,
-    InvalidEtaError,
     LepskiiError,
 )
 from .estimators import FilterMethod, TIKHONOV, fit_from_decomposition, predict
@@ -78,6 +77,7 @@ class ExperimentRow:
 
 
 RESULT_COLUMNS = tuple(f.name for f in dataclasses.fields(ExperimentRow))
+FLOAT_COLUMNS = tuple(c for c in RESULT_COLUMNS if c not in ("n", "replication", "filter", "error"))
 
 
 def holdout_select(
@@ -127,7 +127,7 @@ def _replication_rows(
         # through the factored form sums in another order, which moves them by up to 1e-11.
         dec = gram_decomposition(kernel, data.xs, sample.features).lifted()
         if fixed_grid is None:
-            lam0 = heuristic_lambda0(dec.eigenvalues, n, cfg.grid_q)
+            lam0 = heuristic_lambda0(dec.eigenvalues, cfg.grid_q)
             grid = geometric_grid(lam0, cfg.grid_q)
             lam_star = lambda_star(grid, oracle, effdim_fn, model.params(n))
         else:
@@ -204,7 +204,7 @@ def _failed_rows(cfg: ExperimentConfig, n: int, rep: int, exc: Exception) -> lis
 def run_experiment(cfg: ExperimentConfig, threads: int = 1, progress=None) -> list[ExperimentRow]:
     """Run the full (n x replication x filter) table; rows in deterministic order.
 
-    Replications run on `threads` worker threads and are collected in order;
+    Replications run on `threads` (at least 1) worker threads and are collected in order;
     `progress` (a text stream) gets one line per collected replication.
     """
     if cfg.replications < 0:
@@ -214,7 +214,7 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1, progress=None) -> li
     oracle = ApproxErrorOracle.from_model(model)
 
     all_rows: list[ExperimentRow] = []
-    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
+    with ThreadPoolExecutor(max_workers=threads) as pool:
         for n in cfg.n_values:
             try:
                 lam_oracle = oracle_lambda_balance(oracle, effdim_fn, model.params(n))
@@ -280,15 +280,6 @@ def loglog_fit(ns: np.ndarray, values: np.ndarray) -> RateFit:
     return RateFit(slope=float(slope), intercept=float(intercept), r2=float(r2))
 
 
-def bernstein_bound(n: int, L: float, sigma: float, eta: float) -> float:
-    """High-probability deviation bound 2 log(2/eta) (L/n + sigma/sqrt(n))."""
-    if not (0.0 < eta < 1.0):
-        raise InvalidEtaError(f"eta must lie in (0, 1), got {eta}")
-    if n < 1 or L < 0 or sigma < 0:
-        raise InsufficientDataError("need n >= 1 and L, sigma >= 0")
-    return float(2.0 * np.log(2.0 / eta) * (L / n + sigma / np.sqrt(n)))
-
-
 @dataclass(frozen=True)
 class ConcentrationCell:
     n: int
@@ -337,7 +328,7 @@ def concentration_experiment(
             xs = np.random.default_rng(seed_base + rep).random(n)
             eigs = gram_eigenvalues(kernel, xs)
             if lambdas is None:
-                lam0 = heuristic_lambda0(eigs, n, q)
+                lam0 = heuristic_lambda0(eigs, q)
                 lams = geometric_grid(lam0, q).lambdas
             else:
                 lams = np.asarray(lambdas, dtype=float)
@@ -404,11 +395,7 @@ def read_results_csv(path) -> list[ExperimentRow]:
                     n=int(rec["n"]),
                     replication=int(rec["replication"]),
                     filter=rec["filter"],
-                    **{
-                        col: float(rec[col])
-                        for col in RESULT_COLUMNS
-                        if col not in ("n", "replication", "filter", "error")
-                    },
+                    **{col: float(rec[col]) for col in FLOAT_COLUMNS},
                     error=rec.get("error", ""),
                 )
             )

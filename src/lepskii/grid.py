@@ -96,14 +96,15 @@ def lambda0_from_effdim(effdim_fn: Callable[[float], float], n: int) -> float:
     return _bisect_increasing(f, BISECTION_LO, 1.0)
 
 
-def heuristic_lambda0(eigenvalues: np.ndarray, n: int, q: float) -> float:
+def heuristic_lambda0(eigenvalues: np.ndarray, q: float) -> float:
     """Data-driven smallest grid point: walk lambda_j = q^{-j} down from 1 and stop at
     the first j where the sample-error proxy sqrt(max(N_x, 1) / (n lambda)) reaches
-    HEURISTIC_THRESHOLD. The proxy leaves out sigma, so the stopping point
-    characterizes the spectrum rather than the noise scale.
+    HEURISTIC_THRESHOLD, with n = len(eigenvalues). The proxy leaves out sigma, so the
+    stopping point characterizes the spectrum rather than the noise scale.
     """
     if not q > 1.0:
         raise InvalidRatioError(f"ratio q must exceed 1, got {q}")
+    n = len(eigenvalues)
     # clamping makes the criterion certain to fire by lambda <= 1/(n thr^2), so the
     # abort floor never truncates a walk that must succeed; it stops a walk whose
     # proxy never compares true (a NaN spectrum)

@@ -5,6 +5,10 @@ by its coefficient vector c. The normalized empirical covariance acts on
 coefficients as c -> G c with G = K / (n kappa^2), and the RKHS inner product
 is <c, c'> = c^T K c'. Since K = (n kappa^2) G, both operators share one
 eigenbasis and every fractional power is diagonal there.
+
+This module owns the normalized-Gram conventions: the scale n kappa^2 and the
+clamp of G's spectrum to [0, 1], applied on the dense and the factor route of
+gram_decomposition and gram_eigenvalues alike.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import io
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Union
 
@@ -25,15 +29,12 @@ from .errors import (
     DomainViolationError,
     EmptySpectrumError,
     NonFiniteError,
+    NotPositiveSemiDefiniteError,
 )
-from .linalg import (
-    SpectralDecomposition,
-    SymMatrix,
-    _clamp_unit_interval,
-    sym_eigendecompose,
-    truncated_decomposition,
-)
+from .linalg import SpectralDecomposition, SymMatrix, sym_eigendecompose
 
+# round-off allowance outside [0, 1] for a normalized Gram spectrum; beyond it, raise
+PSD_CLAMP_TOL = 1e-9
 # relative cutoff below which factor-route eigenvalues are treated as exact zeros
 _EIG_REL_CUTOFF = 1e-14
 # a trigonometric feature fill works in tiles of 128 rows x 64 frequencies, with the same
@@ -236,11 +237,6 @@ def kappa_squared(k: KernelSpec) -> float:
     return float(t[0] + 2.0 * t[1:].sum())
 
 
-def gram(k: KernelSpec, xs: np.ndarray) -> np.ndarray:
-    """Dense kernel matrix K_ij = K(x_i, x_j)."""
-    return cross_gram(k, xs, xs)
-
-
 def normalized_gram(k: KernelSpec, xs: np.ndarray) -> SymMatrix:
     """G = K / (n kappa^2); trace(G) <= 1 and spectrum inside [0, 1]."""
     xs = _check_domain(k, xs)
@@ -248,9 +244,25 @@ def normalized_gram(k: KernelSpec, xs: np.ndarray) -> SymMatrix:
     # each kernel's Gram of one point set is exactly symmetric ((a - b)^2, a b, and
     # Phi Phi^T through syrk), so no symmetrisation is needed; SymMatrix still rejects
     # an asymmetric one
-    g = gram(k, xs)
+    g = cross_gram(k, xs, xs)
     g /= n * kappa_squared(k)
     return SymMatrix(g)
+
+
+def _clamp_unit_interval(eigenvalues: np.ndarray) -> np.ndarray:
+    """A normalized Gram spectrum clipped to [0, 1]; round-off only, so values more
+    than PSD_CLAMP_TOL outside raise."""
+    low = eigenvalues.min(initial=0.0)
+    high = eigenvalues.max(initial=0.0)
+    if low < -PSD_CLAMP_TOL:
+        raise NotPositiveSemiDefiniteError(
+            f"eigenvalue {low:.3e} below -{PSD_CLAMP_TOL:.0e}; matrix is not a normalized Gram matrix"
+        )
+    if high > 1.0 + PSD_CLAMP_TOL:
+        raise NotPositiveSemiDefiniteError(
+            f"eigenvalue {high:.6e} above 1; matrix is not a normalized Gram matrix"
+        )
+    return np.clip(eigenvalues, 0.0, 1.0)
 
 
 def _factor_route(
@@ -296,7 +308,9 @@ def gram_decomposition(
     kscale = xs.shape[0] * kappa_squared(k)
     factor = _factor_route(k, xs, features)
     if factor is None:
-        return replace(sym_eigendecompose(normalized_gram(k, xs), normalized=True), kscale=kscale)
+        dense = sym_eigendecompose(normalized_gram(k, xs))
+        vals = _clamp_unit_interval(dense.eigenvalues)
+        return SpectralDecomposition(vals, dense.coords, kscale=kscale)
     phi, c = factor
     del factor
     vals, vecs = np.linalg.eigh(c)
@@ -308,7 +322,10 @@ def gram_decomposition(
     del vecs  # only the kept copy w is needed
     # data-space eigenvectors u = phi w / sqrt(nu), kept factored as basis phi, coords w
     w /= np.sqrt(vals)
-    return replace(truncated_decomposition(vals, w, dim=xs.shape[0], basis=phi), kscale=kscale)
+    # the n - r eigenvalues past the kept ones are exact zeros
+    full = np.zeros(xs.shape[0])
+    full[: vals.shape[0]] = vals
+    return SpectralDecomposition(full, w, basis=phi, kscale=kscale)
 
 
 def gram_eigenvalues(k: KernelSpec, xs: np.ndarray) -> np.ndarray:

@@ -1,7 +1,10 @@
 """Dense symmetric eigendecomposition and truncated spectral decompositions.
 
-Every operator expression downstream (filters, fractional powers, effective
-dimension) reduces to work on the spectral decomposition produced here.
+Plain eigen-algebra: no eigenvalue is clamped here, and the normalized-Gram
+conventions (spectrum inside [0, 1], the scale n kappa^2) belong to
+:mod:`lepskii.kernels`. Every operator expression downstream (filters,
+fractional powers, effective dimension) reduces to work on the spectral
+decomposition produced here.
 Decompositions may be *truncated*: eigenvectors are stored only for the
 leading ``r`` eigenvalues, and the remaining ``dim - r`` eigenvalues are
 exactly zero with an implicit orthonormal completion. ``sym_eigendecompose``
@@ -15,14 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    NonFiniteError,
-    NonSymmetricError,
-    NotPositiveSemiDefiniteError,
-)
+from .errors import NonFiniteError, NonSymmetricError
 
 SYMMETRY_RTOL = 1e-12
-PSD_CLAMP_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -105,47 +103,11 @@ class SpectralDecomposition:
         return SpectralDecomposition(eigenvalues=self.eigenvalues, coords=self.vectors, kscale=self.kscale)
 
 
-def _clamp_unit_interval(eigenvalues: np.ndarray) -> np.ndarray:
-    low = eigenvalues.min(initial=0.0)
-    high = eigenvalues.max(initial=0.0)
-    if low < -PSD_CLAMP_TOL:
-        raise NotPositiveSemiDefiniteError(
-            f"eigenvalue {low:.3e} below -{PSD_CLAMP_TOL:.0e}; matrix is not a normalized Gram matrix"
-        )
-    if high > 1.0 + PSD_CLAMP_TOL:
-        raise NotPositiveSemiDefiniteError(
-            f"eigenvalue {high:.6e} above 1; matrix is not a normalized Gram matrix"
-        )
-    return np.clip(eigenvalues, 0.0, 1.0)
-
-
-def sym_eigendecompose(m: SymMatrix | np.ndarray, normalized: bool = False) -> SpectralDecomposition:
-    """Full eigendecomposition, eigenvalues sorted descending.
-
-    With ``normalized=True`` the caller declares the input a normalized Gram
-    matrix: eigenvalues are clamped to [0, 1] (round-off only; values beyond
-    the clamp tolerance raise). Raw decompositions are never clamped.
-    """
+def sym_eigendecompose(m: SymMatrix | np.ndarray) -> SpectralDecomposition:
+    """Full eigendecomposition, eigenvalues sorted descending; never clamped."""
     if not isinstance(m, SymMatrix):
         m = SymMatrix(np.asarray(m, dtype=float))
     vals, vecs = np.linalg.eigh(m.values)
     vals = vals[::-1].copy()
     vecs = vecs[:, ::-1].copy()
-    if normalized:
-        vals = _clamp_unit_interval(vals)
     return SpectralDecomposition(eigenvalues=vals, coords=vecs)
-
-
-def truncated_decomposition(
-    eigenvalues: np.ndarray, coords: np.ndarray, dim: int, basis: np.ndarray | None = None
-) -> SpectralDecomposition:
-    """Assemble a decomposition from the leading eigenpairs of a dim x dim matrix,
-    with eigenvectors ``coords`` or, when ``basis`` is given, ``basis @ coords``.
-
-    The supplied eigenvalues must already be descending and account for every
-    nonzero eigenvalue; the remaining dim - r eigenvalues are taken to be 0.
-    """
-    eigenvalues = np.asarray(eigenvalues, dtype=float)
-    full = np.zeros(dim)
-    full[: eigenvalues.shape[0]] = eigenvalues
-    return SpectralDecomposition(eigenvalues=full, coords=np.asarray(coords, dtype=float), basis=basis)

@@ -1,8 +1,27 @@
 """Independent test oracles: brute-force re-implementations kept deliberately
-separate from the library code paths they check."""
+separate from the library code paths they check. Also the test-only helpers
+built on library internals (weighted_diff_norm, model_sample_error,
+bernstein_bound), which the library itself has no use for."""
 
 import numpy as np
 import scipy.linalg
+
+from lepskii.balancing import _projected_norm_sq
+from lepskii.effdim import effdim_clamped, model_effdim, sample_error
+from lepskii.errors import (
+    DimensionMismatchError,
+    DomainViolationError,
+    InsufficientDataError,
+    InvalidEtaError,
+    InvalidLambdaError,
+)
+
+
+def dense_weighted_norm(d, g_dense, kmat, lam_p, s):
+    """|| (G + lambda')^s d ||_H = sqrt(d^T K (G + lambda')^{2s} d) for a coefficient
+    vector d, from the dense G and K with a scipy fractional power."""
+    power = scipy.linalg.fractional_matrix_power(g_dense + lam_p * np.eye(len(d)), 2 * s)
+    return float(np.sqrt(max(d @ kmat @ np.real(power) @ d, 0.0)))
 
 
 def brute_force_jplus(coeffs, lams, g_dense, kscale, cfg, n):
@@ -20,17 +39,14 @@ def brute_force_jplus(coeffs, lams, g_dense, kscale, cfg, n):
     def s_x(lam):
         return cfg.sigma * np.sqrt(max(n_x(lam), 1.0) / (n * lam)) + cfg.M_bound / (n * lam)
 
-    def weighted(d, lam_p):
-        power = scipy.linalg.fractional_matrix_power(g_dense + lam_p * np.eye(n), 2 * cfg.s)
-        return float(np.sqrt(max(d @ kmat @ np.real(power) @ d, 0.0)))
-
     accepted = []
     for lam in lams:
         ok = True
         for lam_p in lams:
             if lam_p > lam:
                 continue
-            if weighted(coeffs[lam] - coeffs[lam_p], lam_p) > mult * lam_p**cfg.s * s_x(lam_p):
+            norm = dense_weighted_norm(coeffs[lam] - coeffs[lam_p], g_dense, kmat, lam_p, cfg.s)
+            if norm > mult * lam_p**cfg.s * s_x(lam_p):
                 ok = False
                 break
         if ok:
@@ -73,3 +89,36 @@ def holdout_tikhonov_lambda(t, kappa2, xs, ys, lams, split_fraction=0.5):
         mse.append(np.mean((ys[n_tr:] - k_va @ c) ** 2))
     mse = np.array(mse)
     return float(lams[np.flatnonzero(mse == mse.min())[-1]])
+
+
+def weighted_diff_norm(c1, c2, dec, lambda_prime, s):
+    """|| (G + lambda')^s (f_1 - f_2) ||_H for coefficient vectors c1, c2.
+
+    Computed as sqrt(d^T K (G + lambda')^{2s} d) with d = c1 - c2 in the shared
+    eigenbasis of K = dec.kscale * G; s = 0 gives the plain RKHS norm. lambda' = 0
+    is admitted (used by the interpolation-inequality checks).
+    """
+    c1 = np.asarray(c1, dtype=float)
+    c2 = np.asarray(c2, dtype=float)
+    if c1.shape != c2.shape or c1.shape[0] != dec.dim:
+        raise DimensionMismatchError("coefficient vectors must match the decomposition dimension")
+    if not (0.0 <= lambda_prime <= 1.0):
+        raise InvalidLambdaError(f"lambda' must lie in [0, 1], got {lambda_prime}")
+    if not (0.0 <= s <= 0.5):
+        raise DomainViolationError(f"norm parameter s must lie in [0, 1/2], got {s}")
+    e = dec.project(c1 - c2)
+    return float(np.sqrt(max(_projected_norm_sq(e, dec, lambda_prime, s), 0.0)))
+
+
+def model_sample_error(p, t_bar, lam):
+    """S(n, lambda) for a declared model spectrum."""
+    return sample_error(p, effdim_clamped(model_effdim(t_bar, lam)), lam)
+
+
+def bernstein_bound(n, L, sigma, eta):
+    """High-probability deviation bound 2 log(2/eta) (L/n + sigma/sqrt(n))."""
+    if not (0.0 < eta < 1.0):
+        raise InvalidEtaError(f"eta must lie in (0, 1), got {eta}")
+    if n < 1 or L < 0 or sigma < 0:
+        raise InsufficientDataError("need n >= 1 and L, sigma >= 0")
+    return float(2.0 * np.log(2.0 / eta) * (L / n + sigma / np.sqrt(n)))

@@ -14,14 +14,13 @@ import sys
 import numpy as np
 import pytest
 
-from _oracles import brute_force_jplus
+from _oracles import bernstein_bound, brute_force_jplus, model_sample_error, weighted_diff_norm
 from lepskii.balancing import BalancingConfig, balancing_select
 from lepskii.cli import dispatch
-from lepskii.effdim import SampleErrorParams, model_effdim, model_sample_error
-from lepskii.estimators import TIKHONOV, fit_from_decomposition, weighted_diff_norm
+from lepskii.effdim import SampleErrorParams, model_effdim
+from lepskii.estimators import TIKHONOV, fit_from_decomposition
 from lepskii.experiments import (
     ExperimentConfig,
-    bernstein_bound,
     concentration_experiment,
     fit_rate,
     run_experiment,
@@ -29,7 +28,7 @@ from lepskii.experiments import (
 from lepskii.grid import geometric_grid, lambda0_from_effdim
 from lepskii.kernels import (
     ExplicitSpectrumKernel,
-    gram,
+    cross_gram,
     gram_decomposition,
     kappa_squared,
     normalized_gram,
@@ -172,7 +171,7 @@ def test_c7_exact_property_suites(capsys):
         c = fit_from_decomposition(
             gram_decomposition(k, sample.data.xs), sample.data.ys, TIKHONOV, 0.07
         )
-        kmat = gram(k, sample.data.xs)
+        kmat = cross_gram(k, sample.data.xs, sample.data.xs)
         direct = np.linalg.solve(kmat + 30 * kappa_squared(k) * 0.07 * np.eye(30), sample.data.ys)
         if np.linalg.norm(c - direct) > 1e-8 * np.linalg.norm(direct):
             failures.append(f"fit-vs-solve seed {seed}")

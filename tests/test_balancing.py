@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from _oracles import brute_force_jplus
+from _oracles import brute_force_jplus, dense_weighted_norm
 from lepskii.balancing import (
     BalancingConfig,
     balancing_select,
@@ -11,26 +11,32 @@ from lepskii.balancing import (
 from lepskii.errors import DomainViolationError, IncompleteFamilyError
 from lepskii.estimators import TIKHONOV, fit_from_decomposition
 from lepskii.grid import geometric_grid, heuristic_lambda0
-from lepskii.kernels import gram, gram_decomposition, kappa_squared, normalized_gram
+from lepskii.kernels import (
+    GaussianKernel,
+    cross_gram,
+    gram_decomposition,
+    kappa_squared,
+    normalized_gram,
+)
 from lepskii.synthetic import generate, polynomial_spectrum_model
 
 
 def test_empirical_sample_error_clamping_active():
     cfg = BalancingConfig(sigma=1.0, M_bound=0.0)
     # single eigenvalue 1 at n = 1: N_x(1) = 0.5 clamps to 1
-    assert empirical_sample_error(np.array([1.0]), cfg, 1, 1.0) == pytest.approx(1.0)
+    assert empirical_sample_error(np.array([1.0]), cfg, 1.0) == pytest.approx(1.0)
 
 
 def test_empirical_sample_error_noiseless():
     cfg = BalancingConfig(sigma=0.0, M_bound=0.0)
     for lam in (0.05, 0.3, 1.0):
-        assert empirical_sample_error(np.array([0.7, 0.2]), cfg, 10, lam) == 0.0
+        assert empirical_sample_error(np.r_[0.7, 0.2, np.zeros(8)], cfg, lam) == 0.0
 
 
 def test_empirical_sample_error_arithmetic():
     cfg = BalancingConfig(sigma=2.0, M_bound=1.0)
-    val = empirical_sample_error(np.array([0.5, 0.25, 0.0]), cfg, 100, 0.25)
-    # N_x = 7/6: 2 sqrt((7/6)/25) + 1/25
+    val = empirical_sample_error(np.r_[0.5, 0.25, np.zeros(98)], cfg, 0.25)
+    # n = 100 and N_x = 7/6: 2 sqrt((7/6)/25) + 1/25
     assert val == pytest.approx(2 * 0.21602 + 0.04, abs=2e-5)
 
 
@@ -108,6 +114,29 @@ def test_balancing_matches_brute_force_oracle():
     assert mismatches == 0
 
 
+@pytest.mark.parametrize("s", [0.0, 0.25, 0.5])
+@pytest.mark.parametrize("route", ["dense", "factor"])
+def test_pairwise_norms_match_dense_oracle(route, s):
+    # dense: Gaussian kernel at n = 30; factor: explicit kernel with D = 12 at n = 40
+    n = 30 if route == "dense" else 40
+    model, sample, kernel, dec = _instance(3, n=n, d=12)
+    if route == "dense":
+        kernel = GaussianKernel(0.2)
+        dec = gram_decomposition(kernel, sample.data.xs)
+    assert (dec.basis is None) == (route == "dense")
+    grid = geometric_grid(0.04, 2.0)
+    fits = _fit_family(dec, sample.data.ys, grid.lambdas)
+    diag = balancing_select(fits, grid, dec, BalancingConfig(s=s, sigma=0.3))
+    xs = sample.data.xs
+    g_dense = normalized_gram(kernel, xs).values
+    kmat = cross_gram(kernel, xs, xs)
+    column = {float(lam): j for j, lam in enumerate(grid.lambdas)}
+    assert len(diag.pairwise_norms) == grid.size * (grid.size - 1) // 2
+    for (lam, lam_p), norm in diag.pairwise_norms.items():
+        d = fits[:, column[lam]] - fits[:, column[lam_p]]
+        assert norm == pytest.approx(dense_weighted_norm(d, g_dense, kmat, lam_p, s), rel=1e-8)
+
+
 def test_selection_deterministic():
     model, sample, kernel, dec = _instance(4)
     grid = geometric_grid(0.02, 2.0)
@@ -126,7 +155,7 @@ def test_empirical_threshold_curve_strictly_decreasing():
     cfg = BalancingConfig(sigma=0.4, M_bound=0.2)
     lams = np.geomspace(1e-3, 1.0, 30)
     for s in (0.0, 0.25, 0.5):
-        vals = [lam**s * empirical_sample_error(dec.eigenvalues, cfg, 60, float(lam)) for lam in lams]
+        vals = [lam**s * empirical_sample_error(dec.eigenvalues, cfg, float(lam)) for lam in lams]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
@@ -165,7 +194,7 @@ def test_estimate_sigma_monte_carlo_calibration():
     for rep in range(200):
         sample = generate(model, n, seed=1000 + rep)
         dec = gram_decomposition(kernel, sample.data.xs)
-        lam0 = heuristic_lambda0(dec.eigenvalues, n, 2.0)
+        lam0 = heuristic_lambda0(dec.eigenvalues, 2.0)
         est = estimate_sigma(sample.data, dec, lam=lam0)
         hits += int(0.35 <= est <= 0.65)
     assert hits >= 0.9 * 200
@@ -185,7 +214,7 @@ def test_estimate_sigma_constant_target_closed_form():
     est = estimate_sigma(data, dec, lam=lam)
     # closed-form residual check of the same quantity
     c = fit_from_decomposition(dec, ys, TIKHONOV, lam)
-    fitted = gram(kernel, xs) @ c
+    fitted = cross_gram(kernel, xs, xs) @ c
     df = float(np.sum(dec.eigenvalues / (dec.eigenvalues + lam)))
     expected = np.sqrt(np.sum((ys - fitted) ** 2) / (60 - df))
     assert est == pytest.approx(expected, rel=1e-8)

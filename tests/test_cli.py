@@ -114,13 +114,26 @@ def test_grid_command(tmp_path, model_file):
 
 
 def test_malformed_threads_flag_is_a_usage_error(tmp_path, capsys):
-    argv = ["experiment", "--config", str(tmp_path / "cfg.json"), "--out-dir", str(tmp_path)]
-    with pytest.raises(SystemExit) as exc:
-        dispatch(argv + ["--threads", "two"])
-    assert exc.value.code == 2
-    assert "invalid int value: 'two'" in capsys.readouterr().err
+    out_dir = tmp_path / "out"
+    argv = ["experiment", "--config", str(tmp_path / "cfg.json"), "--out-dir", str(out_dir)]
+    for value, message in (("two", "invalid int value: 'two'"), ("0", "must be at least 1, got 0"),
+                           ("-1", "must be at least 1, got -1")):
+        with pytest.raises(SystemExit) as exc:
+            dispatch(argv + ["--threads", value])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not out_dir.exists()
     # a well-formed flag gets past parsing; the missing config is then a domain error
     assert dispatch(argv + ["--threads", "1"]) == 1
+
+
+@pytest.mark.parametrize("column", ["no_such", "filter"])
+def test_rate_column_outside_the_float_columns_is_a_usage_error(tmp_path, capsys, column):
+    with pytest.raises(SystemExit) as exc:
+        dispatch(["rate", "--results", str(tmp_path / "results.csv"), "--column", column])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"invalid choice: '{column}'" in err and "err_s12_at_hat" in err
 
 
 def test_fit_command_csv(tmp_path, model_file):
@@ -158,7 +171,7 @@ def test_balance_cli_matches_library(tmp_path, model_file):
     data = read_dataset_csv(data_path)
     kernel = GaussianKernel(0.2)
     dec = gram_decomposition(kernel, data.xs)
-    lam0 = heuristic_lambda0(dec.eigenvalues, data.n, 1.5)
+    lam0 = heuristic_lambda0(dec.eigenvalues, 1.5)
     grid = geometric_grid(lam0, 1.5)
     fits = np.column_stack(
         [fit_from_decomposition(dec, data.ys, TIKHONOV, float(lam)) for lam in grid.lambdas]

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
+from _oracles import model_sample_error
 from lepskii.effdim import (
     SampleErrorParams,
     effdim_clamped,
     empirical_effdim,
     model_effdim,
-    model_sample_error,
     sample_error,
     two_sided_check,
 )

@@ -3,7 +3,7 @@ import io
 import numpy as np
 import pytest
 
-from _oracles import holdout_tikhonov_lambda
+from _oracles import bernstein_bound, holdout_tikhonov_lambda
 from lepskii.balancing import BalancingConfig
 from lepskii.effdim import empirical_effdim, model_effdim, two_sided_check
 from lepskii.errors import DegenerateSplitError, InsufficientDataError, InvalidEtaError
@@ -12,7 +12,6 @@ from lepskii.experiments import (
     ExperimentConfig,
     ExperimentRow,
     RESULT_COLUMNS,
-    bernstein_bound,
     concentration_experiment,
     fit_rate,
     holdout_select,

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from lepskii.effdim import SampleErrorParams, model_effdim, model_sample_error
+from _oracles import model_sample_error
+from lepskii.effdim import SampleErrorParams, model_effdim
 from lepskii.errors import (
     InvalidLambda0Error,
     InvalidRatioError,
@@ -110,14 +111,15 @@ def test_lambda0_no_root():
 
 def test_heuristic_walk_single_mode():
     # n = 1, spectrum (1): sqrt(max(N_x,1)/lam) crosses 5 at lam = 2^-5
-    lam0 = heuristic_lambda0(np.array([1.0]), 1, 2.0)
+    lam0 = heuristic_lambda0(np.array([1.0]), 2.0)
     assert lam0 == pytest.approx(0.03125)
 
 
 def test_heuristic_stops_at_first_step():
-    # 100 unit eigenvalues, n = 1: sqrt(N_x(1/2) / (1/2)) = sqrt(400/3) > 5 at once
-    lam0 = heuristic_lambda0(np.ones(100), 1, 2.0)
-    assert lam0 == pytest.approx(0.5)
+    # N_x <= n bounds the first-step proxy by sqrt(q), so stopping at once needs q >= 25:
+    # 100 unit eigenvalues at q = 30 give sqrt(N_x(1/30) / (100/30)) = sqrt(900/31) = 5.39
+    lam0 = heuristic_lambda0(np.ones(100), 30.0)
+    assert lam0 == pytest.approx(1.0 / 30.0)
 
 
 def test_heuristic_agrees_with_effdim_root():
@@ -130,7 +132,7 @@ def test_heuristic_agrees_with_effdim_root():
     q = 2.0
     xs = rng.random(n)
     eigs = gram_eigenvalues(model.kernel(), xs)
-    lam_h = heuristic_lambda0(eigs, n, q=q)
+    lam_h = heuristic_lambda0(eigs, q=q)
     lam_r = lambda0_from_effdim(lambda lam: float(np.sum(eigs / (eigs + lam))), n)
     separation = 25.0 ** (2.0 / 3.0)
     assert lam_h <= lam_r
@@ -140,7 +142,7 @@ def test_heuristic_agrees_with_effdim_root():
 def test_heuristic_not_reached():
     # a NaN proxy never reaches the threshold; the floor guard ends the walk
     with pytest.raises(NotReachedError):
-        heuristic_lambda0(np.array([1.0, np.nan]), 50, 2.0)
+        heuristic_lambda0(np.r_[1.0, np.nan, np.zeros(48)], 2.0)
 
 
 def test_validate_grid_conditions_example():

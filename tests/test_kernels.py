@@ -15,7 +15,6 @@ from lepskii.kernels import (
     cross_gram,
     dataset_to_csv,
     feature_matrix,
-    gram,
     gram_decomposition,
     gram_eigenvalues,
     kappa_squared,
@@ -62,7 +61,7 @@ def test_kernel_symmetry_and_nonneg_diagonal():
         ExplicitSpectrumKernel(np.arange(1, 6, dtype=float) ** -2.0),
     ):
         pts = xs if not isinstance(k, PolynomialKernel) else xs * 2 - 1
-        m = gram(k, pts)
+        m = cross_gram(k, pts, pts)
         assert np.allclose(m, m.T)
         assert np.all(np.diag(m) >= 0)
 
@@ -162,7 +161,7 @@ def test_normalized_gram_two_point_constant_kernel():
     k = ExplicitSpectrumKernel(np.array([1.0]))
     g = normalized_gram(k, np.array([0.2, 0.8]))
     assert np.allclose(g.values, [[0.5, 0.5], [0.5, 0.5]])
-    d = sym_eigendecompose(g, normalized=True)
+    d = sym_eigendecompose(g)
     assert np.allclose(d.eigenvalues, [1.0, 0.0], atol=1e-12)
 
 
@@ -171,7 +170,7 @@ def test_normalized_gram_trace_identity():
     xs = np.linspace(0.0, 1.0, 50)
     g = normalized_gram(k, xs)
     assert np.trace(g.values) == pytest.approx(1.0, abs=1e-12)
-    d = sym_eigendecompose(g, normalized=True)
+    d = sym_eigendecompose(g)
     assert d.eigenvalues.sum() == pytest.approx(1.0, abs=1e-9)
 
 
@@ -190,7 +189,7 @@ def test_factor_route_matches_dense_route():
     k = ExplicitSpectrumKernel(np.arange(1, 8, dtype=float) ** -2.0)
     xs = rng.random(25)  # n > D triggers the factor route
     dec = gram_decomposition(k, xs)
-    dense = sym_eigendecompose(normalized_gram(k, xs), normalized=True)
+    dense = sym_eigendecompose(normalized_gram(k, xs))
     assert dec.rank < dec.dim == 25
     assert np.allclose(dec.eigenvalues, dense.eigenvalues, atol=1e-10)
     # same operator: compare projections of a random vector under a spectral map
@@ -255,7 +254,7 @@ def test_empirical_eigenvalues_concentrate_near_model():
 def test_domain_violations():
     k = ExplicitSpectrumKernel(np.array([1.0, 0.5]))
     with pytest.raises(DomainViolationError):
-        gram(k, np.array([0.5, 1.2]))
+        cross_gram(k, np.array([0.5, 1.2]), np.array([0.5]))
     with pytest.raises(DomainViolationError):
         _kernel_at(PolynomialKernel(2, 1.0, domain_radius=1.0), 1.5, 0.0)
 
@@ -270,7 +269,8 @@ def test_explicit_spectrum_validation():
 def test_cross_gram_consistency():
     k = GaussianKernel(0.5)
     xs = np.array([0.1, 0.4, 0.9])
-    assert np.allclose(cross_gram(k, xs, xs), gram(k, xs))
+    pairwise = [[_kernel_at(k, a, b) for b in xs] for a in xs]
+    assert np.allclose(cross_gram(k, xs, xs), pairwise)
     # explicit spectrum: one feature build for one point set, two for equal copies
     k = ExplicitSpectrumKernel(np.arange(1, 8, dtype=float) ** -2.0)
     once = cross_gram(k, xs, xs)

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from _oracles import weighted_diff_norm
 from lepskii.errors import NonFiniteError, NonSymmetricError
-from lepskii.estimators import FILTERS, fit_from_decomposition, weighted_diff_norm
-from lepskii.linalg import SymMatrix, sym_eigendecompose, truncated_decomposition
+from lepskii.estimators import FILTERS, fit_from_decomposition
+from lepskii.kernels import _clamp_unit_interval
+from lepskii.linalg import SpectralDecomposition, SymMatrix, sym_eigendecompose
 
 
 def det_gauss(a):
@@ -132,10 +134,12 @@ def test_psd_floor_trace_identity_orthonormality(n, seed):
 
 
 def test_normalized_clamping():
+    # round-off outside [0, 1] is clipped by the normalized-Gram clamp in kernels, and
+    # left in place by the plain eigendecomposition
     vals = np.array([[1.0 + 5e-10, 0.0], [0.0, -5e-10]])
-    d = sym_eigendecompose(vals, normalized=True)
-    assert d.eigenvalues[0] == 1.0 and d.eigenvalues[1] == 0.0
     d_raw = sym_eigendecompose(vals)
+    clamped = _clamp_unit_interval(d_raw.eigenvalues)
+    assert clamped[0] == 1.0 and clamped[1] == 0.0
     assert d_raw.eigenvalues[0] > 1.0 and d_raw.eigenvalues[1] < 0.0
 
 
@@ -146,8 +150,10 @@ def test_truncated_decomposition_matches_full():
     a = b @ b.T
     scale = np.linalg.norm(a, 2) * 1.01
     a = a / scale
-    full = sym_eigendecompose(a, normalized=True)
-    trunc = truncated_decomposition(full.eigenvalues[:2], full.vectors[:, :2], dim=5)
+    raw = sym_eigendecompose(a)
+    # clamped like a normalized Gram spectrum, so no round-off negative meets a fractional power
+    full = SpectralDecomposition(_clamp_unit_interval(raw.eigenvalues), raw.coords)
+    trunc = SpectralDecomposition(np.r_[full.eigenvalues[:2], np.zeros(3)], full.vectors[:, :2])
     assert trunc.rank == 2 and trunc.dim == 5
     assert np.allclose(trunc.eigenvalues[2:], 0.0)
     ys, c1, c2 = rng.standard_normal((3, 5))

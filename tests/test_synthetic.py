@@ -11,7 +11,7 @@ from lepskii.errors import (
 )
 from lepskii.estimators import TIKHONOV, fit
 from lepskii.grid import Grid, geometric_grid
-from lepskii.kernels import feature_matrix, gram, kappa_squared
+from lepskii.kernels import cross_gram, feature_matrix, kappa_squared
 from lepskii.synthetic import (
     ApproxErrorOracle,
     HolderSource,
@@ -104,7 +104,7 @@ def test_estimator_expansion_gram_identity():
         a_hat = estimator_basis_coefficients(c, sample.features)
         a = sample.target_coeffs
         via_norm = true_error_norm(a_hat, a, model.t_bar, 0.0)
-        kmat = gram(model.kernel(), sample.data.xs)
+        kmat = cross_gram(model.kernel(), sample.data.xs, sample.data.xs)
         f_at_xs = feature_matrix(model.kernel(), sample.data.xs) @ model.target_coefficients()
         gram_sq = c @ kmat @ c - 2.0 * c @ f_at_xs + float(a @ a)
         assert via_norm**2 == pytest.approx(gram_sq, rel=1e-8, abs=1e-12)
