@@ -28,7 +28,6 @@ from .experiments import (
 )
 from .grid import geometric_grid, heuristic_lambda0, lambda0_from_effdim, validate_grid_conditions
 from .kernels import (
-    ExplicitSpectrumKernel,
     GaussianKernel,
     PolynomialKernel,
     dataset_to_csv,

@@ -23,6 +23,7 @@ from .balancing import BalancingConfig, balancing_select
 from .effdim import empirical_effdim, model_effdim, two_sided_check
 from .errors import (
     DegenerateSplitError,
+    DomainViolationError,
     InsufficientDataError,
     LepskiiError,
 )
@@ -245,7 +246,14 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1, progress=None) -> li
 
 
 def fit_rate(rows: Iterable[ExperimentRow], error_column: str):
-    """OLS of log(median error) on log(n); the slope estimates the convergence rate."""
+    """OLS of log(median error) on log(n); the slope estimates the convergence rate.
+
+    `error_column` is one of FLOAT_COLUMNS.
+    """
+    if error_column not in FLOAT_COLUMNS:
+        raise DomainViolationError(
+            f"unknown error column {error_column!r}; expected one of {', '.join(FLOAT_COLUMNS)}"
+        )
     by_n: dict[int, list[float]] = {}
     for row in rows:
         if row.error:

@@ -7,8 +7,18 @@ is <c, c'> = c^T K c'. Since K = (n kappa^2) G, both operators share one
 eigenbasis and every fractional power is diagonal there.
 
 This module owns the normalized-Gram conventions: the scale n kappa^2 and the
-clamp of G's spectrum to [0, 1], applied on the dense and the factor route of
-gram_decomposition and gram_eigenvalues alike.
+clamp of G's spectrum to [0, 1], applied on every route of gram_decomposition
+and gram_eigenvalues alike. There are three routes, and the first two share one
+code path through a factor G = Phi Phi^T with r < n columns:
+
+- explicit-spectrum kernels with n > D: Phi is the n x D feature matrix;
+- Gaussian and polynomial kernels: Phi is a greedy pivoted Cholesky factor of K
+  (Harbrecht, Peters & Schneider 2012), kept when its rank is below n // 8;
+- otherwise (explicit kernels with n <= D, or a factor that needs n // 8 columns
+  or more) the dense route eigendecomposes the n x n matrix G.
+
+A factor route eigendecomposes the r x r matrix Phi^T Phi and keeps its
+eigenvectors factored through Phi, so it costs O(n r^2) instead of O(n^3).
 """
 
 from __future__ import annotations
@@ -35,8 +45,15 @@ from .linalg import SpectralDecomposition, SymMatrix, sym_eigendecompose
 
 # round-off allowance outside [0, 1] for a normalized Gram spectrum; beyond it, raise
 PSD_CLAMP_TOL = 1e-9
-# relative cutoff below which factor-route eigenvalues are treated as exact zeros
+# relative cutoff below which factor-route eigenvalues are treated as exact zeros; a
+# pivoted Cholesky factor is done once the trace it leaves out is this share of the trace
 _EIG_REL_CUTOFF = 1e-14
+# a pivoted Cholesky factor that needs n // _CHOL_RANK_DIVISOR columns or more is dropped
+# for the dense route; the work it wasted, about n (n / 8)^2 = n^3 / 64 flops, is small
+# next to the dense solve's 4 n^3 / 3 or more
+_CHOL_RANK_DIVISOR = 8
+# rows a pivoted Cholesky factor starts with; its storage doubles as the rank grows
+_CHOL_FIRST_ROWS = 16
 # a trigonometric feature fill works in tiles of 128 rows x 64 frequencies, with the same
 # per-element products as one column at a time; a tile's angles stay cache-sized, and
 # each temporary (64 KiB) is small next to the n x D output whatever n is
@@ -265,20 +282,64 @@ def _clamp_unit_interval(eigenvalues: np.ndarray) -> np.ndarray:
     return np.clip(eigenvalues, 0.0, 1.0)
 
 
+def _pivoted_cholesky(k: GaussianKernel | PolynomialKernel, xs: np.ndarray) -> np.ndarray | None:
+    """Greedy pivoted Cholesky factor L (n x r) with K = L L^T up to a left-out trace of
+    at most _EIG_REL_CUTOFF of trace(K), or None unless 0 < r < n // _CHOL_RANK_DIVISOR.
+
+    Each step pivots on the largest diagonal entry of the residual K - L L^T and builds
+    that one column of K, so the factor costs O(n r^2) and never forms K.
+    """
+    n = xs.shape[0]
+    most = n // _CHOL_RANK_DIVISOR - 1  # the largest rank kept
+    if most < 1:
+        return None
+    residual = np.ones(n) if isinstance(k, GaussianKernel) else (k.offset + xs * xs) ** k.degree
+    stop = _EIG_REL_CUTOFF * residual.sum()
+    rows = np.empty((min(_CHOL_FIRST_ROWS, most), n))  # L^T, one row per step
+    r = 0
+    while residual.sum() > stop:
+        p = int(np.argmax(residual))
+        pivot = residual[p]
+        if not pivot > 0.0:  # round-off only: what is left is numerically zero
+            break
+        if r == most:
+            return None
+        if r == rows.shape[0]:
+            grown = np.empty((min(2 * r, most), n))
+            grown[:r] = rows
+            rows = grown
+        col = cross_gram(k, xs, xs[p : p + 1])[:, 0]
+        col -= rows[:r, p] @ rows[:r]
+        col /= np.sqrt(pivot)
+        rows[r] = col
+        residual -= col * col
+        residual[p] = 0.0  # exact in exact arithmetic; round-off must not pick p again
+        r += 1
+    return rows[:r].T if r else None
+
+
 def _factor_route(
     k: KernelSpec, xs: np.ndarray, features: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray] | None:
-    """(Phi / sqrt(n kappa^2), its D x D Gram) for explicit-spectrum
-    kernels with n > D, where G = Phi Phi^T / (n kappa^2) has rank <= D; else None.
+    """(Phi, Phi^T Phi) with G = Phi Phi^T and r < n columns in Phi, or None for the
+    dense route.
 
+    Phi is the feature matrix divided by sqrt(n kappa^2) for explicit-spectrum kernels
+    with n > D, and the pivoted Cholesky factor of K divided by the same for Gaussian
+    and polynomial kernels when its rank is below n // _CHOL_RANK_DIVISOR.
     `features`, when given, is feature_matrix(k, xs), built by the caller; it is read
     and never written.
     """
     n = xs.shape[0]
-    if not (isinstance(k, ExplicitSpectrumKernel) and n > k.size):
-        return None
     scale = np.sqrt(n * kappa_squared(k))
-    if features is None:
+    if not isinstance(k, ExplicitSpectrumKernel):
+        factor = _pivoted_cholesky(k, xs)
+        if factor is None:
+            return None
+        phi = factor / scale
+    elif not n > k.size:
+        return None
+    elif features is None:
         phi = feature_matrix(k, xs)
         phi /= scale
     else:
@@ -296,11 +357,14 @@ def gram_decomposition(
     """Spectral decomposition of the normalized Gram matrix G, carrying
     kscale = n kappa^2 so that K = kscale * G.
 
-    For explicit-spectrum kernels with n > D this goes through the n x D
-    feature factor (eigendecomposing Phi^T Phi / (n kappa^2), D x D) instead
-    of the n x n matrix; results agree with the dense route up to round-off.
-    Its eigenvectors stay factored through Phi / sqrt(n kappa^2) (see
-    SpectralDecomposition.lifted).
+    Three routes, chosen by the kernel and the points (see the module docstring):
+    explicit-spectrum kernels with n > D factor G through the n x D feature matrix;
+    Gaussian and polynomial kernels factor it through a pivoted Cholesky factor of
+    K when its rank is below n // 8; everything else eigendecomposes the dense
+    n x n matrix. A factor route eigendecomposes the r x r matrix Phi^T Phi and
+    keeps the eigenvectors factored through Phi (see SpectralDecomposition.lifted);
+    its results agree with the dense route up to round-off, with the eigenvalues
+    past rank r exact zeros.
     A caller that already holds Phi = feature_matrix(k, xs) passes it as
     `features` so it is not built again; other routes ignore it.
     """

@@ -9,7 +9,6 @@ value is printed and recorded.
 """
 
 import json
-import sys
 
 import numpy as np
 import pytest

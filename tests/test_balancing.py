@@ -115,12 +115,13 @@ def test_balancing_matches_brute_force_oracle():
 
 
 @pytest.mark.parametrize("s", [0.0, 0.25, 0.5])
-@pytest.mark.parametrize("route", ["dense", "factor"])
+@pytest.mark.parametrize("route", ["dense", "factor", "lowrank"])
 def test_pairwise_norms_match_dense_oracle(route, s):
-    # dense: Gaussian kernel at n = 30; factor: explicit kernel with D = 12 at n = 40
-    n = 30 if route == "dense" else 40
+    # dense: Gaussian kernel at n = 30; factor: explicit kernel with D = 12 at n = 40;
+    # lowrank: Gaussian kernel at n = 400, through its pivoted Cholesky factor
+    n = {"dense": 30, "factor": 40, "lowrank": 400}[route]
     model, sample, kernel, dec = _instance(3, n=n, d=12)
-    if route == "dense":
+    if route != "factor":
         kernel = GaussianKernel(0.2)
         dec = gram_decomposition(kernel, sample.data.xs)
     assert (dec.basis is None) == (route == "dense")

@@ -6,7 +6,7 @@ import pytest
 from _oracles import bernstein_bound, holdout_tikhonov_lambda
 from lepskii.balancing import BalancingConfig
 from lepskii.effdim import empirical_effdim, model_effdim, two_sided_check
-from lepskii.errors import DegenerateSplitError, InsufficientDataError, InvalidEtaError
+from lepskii.errors import DegenerateSplitError, InsufficientDataError, InvalidEtaError, LepskiiError
 from lepskii.estimators import LANDWEBER, TIKHONOV, fit_from_decomposition, predict
 from lepskii.experiments import (
     ExperimentConfig,
@@ -117,6 +117,13 @@ def test_fit_rate_groups_by_n():
     assert fit.slope == pytest.approx(-0.4, abs=1e-12)
     with pytest.raises(InsufficientDataError):
         fit_rate(rows[:5], "err_s12_at_hat")
+
+
+@pytest.mark.parametrize("column", ["no_such", "filter"])
+def test_fit_rate_rejects_a_column_outside_the_float_columns(column):
+    rows = [ExperimentRow(n=n, replication=0, filter="tikhonov", err_s12_at_hat=0.1) for n in (100, 1000)]
+    with pytest.raises(LepskiiError, match="expected one of .*err_s12_at_hat"):
+        fit_rate(rows, column)
 
 
 def test_bernstein_bound_values():

@@ -231,14 +231,62 @@ def test_prebuilt_features_give_the_same_decomposition(n):
             gram_decomposition(k, xs, phi[:, :-1])
 
 
-@pytest.mark.parametrize("n", [5, 25], ids=["dense", "factor"])  # D = 7
+# explicit kernel with D = 7 at n = 5 (dense) and n = 25 (factor); Gaussian at n = 400
+# (pivoted Cholesky factor)
+_ROUTE_CASES = {
+    "dense": (ExplicitSpectrumKernel(np.arange(1, 8, dtype=float) ** -2.0), 5),
+    "factor": (ExplicitSpectrumKernel(np.arange(1, 8, dtype=float) ** -2.0), 25),
+    "cholesky": (GaussianKernel(0.2), 400),
+}
+
+
+@pytest.mark.parametrize("case", list(_ROUTE_CASES))
 @pytest.mark.parametrize("route", [gram_decomposition, gram_eigenvalues])
-def test_out_of_range_spectrum_rejected_on_every_route(monkeypatch, route, n):
-    k = ExplicitSpectrumKernel(np.arange(1, 8, dtype=float) ** -2.0)
-    # a quarter of the sup bound lifts the top normalized eigenvalue to about 2
+def test_out_of_range_spectrum_rejected_on_every_route(monkeypatch, route, case):
+    k, n = _ROUTE_CASES[case]
+    # a quarter of the sup bound lifts the top normalized eigenvalue above 1 (to about 2
+    # for the explicit kernel, 1.8 for the Gaussian)
     monkeypatch.setattr("lepskii.kernels.kappa_squared", lambda kk: 0.25 * kappa_squared(kk))
     with pytest.raises(NotPositiveSemiDefiniteError, match="above 1"):
         route(k, np.random.default_rng(9).random(n))
+
+
+def test_gaussian_takes_the_cholesky_route():
+    rng = np.random.default_rng(21)
+    k = GaussianKernel(0.2)
+    xs = rng.random(400)
+    dec = gram_decomposition(k, xs)
+    assert dec.basis is not None and dec.rank < 400 // 8
+    dense = sym_eigendecompose(normalized_gram(k, xs))
+    assert np.max(np.abs(dec.eigenvalues - dense.eigenvalues)) <= 1e-12
+    assert np.max(np.abs(gram_eigenvalues(k, xs) - np.clip(dense.eigenvalues, 0.0, 1.0))) <= 1e-12
+    # same operator: G^2 applied to a random vector on both routes
+    v = rng.standard_normal(400)
+    mu = dec.eigenvalues[: dec.rank]
+    out = dec.expand(mu * dec.project(v))
+    want = dense.expand(dense.eigenvalues * dense.project(v))
+    assert np.max(np.abs(out - want)) <= 1e-10
+    assert dec.kscale == 400 * kappa_squared(k)
+
+
+def test_polynomial_cholesky_factor_has_the_kernel_rank():
+    # (1 + x y)^3 is a sum of 4 products of monomials, so K has rank 4
+    k = PolynomialKernel(3, 1.0)
+    xs = 2.0 * np.random.default_rng(22).random(400) - 1.0
+    dec = gram_decomposition(k, xs)
+    assert dec.basis is not None and dec.rank == 4
+    dense = sym_eigendecompose(normalized_gram(k, xs))
+    assert np.max(np.abs(dec.eigenvalues - dense.eigenvalues)) <= 1e-12
+
+
+def test_cholesky_factor_of_rank_n_over_8_or_more_falls_back_to_dense():
+    # a bandwidth below the mean point spacing 1/400 leaves K of numerical rank near n
+    k = GaussianKernel(0.001)
+    xs = np.random.default_rng(23).random(400)
+    dec = gram_decomposition(k, xs)
+    assert dec.basis is None and dec.rank == 400
+    dense = sym_eigendecompose(normalized_gram(k, xs))
+    assert np.array_equal(dec.eigenvalues, np.clip(dense.eigenvalues, 0.0, 1.0))
 
 
 def test_empirical_eigenvalues_concentrate_near_model():
