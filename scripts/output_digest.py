@@ -8,7 +8,8 @@ leaves outputs byte-identical.
 The calls (CALLS below) run one at a time in a fresh temporary directory, each in its own
 interpreter that imports the library from the given `src/` directory, with BLAS pinned to
 one thread. They cover `simulate`, `effdim` on the dense and the factor route, `grid`,
-`fit`, `balance` with a Gaussian kernel (practical constant) and with a polynomial kernel
+`fit` with a Gaussian kernel (dense route) and with a polynomial kernel (Cholesky factor
+route), `balance` with a Gaussian kernel (practical constant) and with a polynomial kernel
 (theoretical constant, s = 0), a D = 100 `experiment`, and `rate` on that experiment's
 results. The script prints one `sha256  file` line per output file. With `--against` it
 runs the same calls on the other tree, prints `same` or `DIFFERS` per file, and exits 1
@@ -62,6 +63,8 @@ CALLS = (
     (["grid", "--model", "model.json", "--n", "500", "--out", "grid.json"], ["grid.json"]),
     (["fit", "--data", "data.csv", "--kernel", "gaussian:0.3", "--lambda", "0.05",
       "--out", "fit.csv"], ["fit.csv"]),
+    (["fit", "--data", "data.csv", "--kernel", "poly:3:1", "--lambda", "0.05",
+      "--out", "fit_poly.csv"], ["fit_poly.csv"]),
     (["balance", "--data", "data.csv", "--kernel", "gaussian:0.2", "--sigma", "0.3",
       "--M", "0.3", "--out", "balance_gaussian.json"], ["balance_gaussian.json"]),
     (["balance", "--data", "data.csv", "--kernel", "poly:3:1", "--sigma", "0.3", "--s", "0",

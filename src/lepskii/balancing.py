@@ -16,7 +16,7 @@ import numpy as np
 
 from .effdim import SampleErrorParams, effdim_clamped, empirical_effdim, sample_error
 from .errors import DegenerateFitError, DomainViolationError, IncompleteFamilyError
-from .estimators import FilterMethod, TIKHONOV, fit_from_decomposition
+from .estimators import FilterMethod, TIKHONOV, fit_from_decomposition, fitted_values
 from .grid import Grid
 from .kernels import Dataset
 from .linalg import SpectralDecomposition
@@ -148,8 +148,5 @@ def estimate_sigma(
     df = empirical_effdim(dec.eigenvalues, lam)
     if df >= n:
         raise DegenerateFitError(f"degrees of freedom {df:.2f} >= n = {n}")
-    # fitted values K c = kscale * G c, evaluated spectrally
-    mu = dec.eigenvalues[: dec.rank]
-    fitted = dec.kscale * dec.expand(mu * dec.project(c))
-    rss = float(np.sum((data.ys - fitted) ** 2))
+    rss = float(np.sum((data.ys - fitted_values(dec, c)) ** 2))
     return max(np.sqrt(rss / (n - df)), 1e-12)

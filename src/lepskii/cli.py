@@ -15,7 +15,7 @@ from pathlib import Path
 from .balancing import BalancingConfig, balancing_select
 from .effdim import empirical_effdim, model_effdim, two_sided_check
 from .errors import LepskiiError
-from .estimators import FILTERS, fit, fit_from_decomposition, predict
+from .estimators import FILTERS, fit_from_decomposition, fitted_values
 from .experiments import (
     FLOAT_COLUMNS,
     ExperimentConfig,
@@ -133,8 +133,9 @@ def cmd_grid(args) -> int:
 
 def cmd_fit(args) -> int:
     data = read_dataset_csv(args.data)
-    coef = fit(data, args.kernel, FILTERS[args.filter], args.lam)
-    preds = predict(coef, args.kernel, data.xs, data.xs)
+    dec = gram_decomposition(args.kernel, data.xs)
+    coef = fit_from_decomposition(dec, data.ys, FILTERS[args.filter], args.lam)
+    preds = fitted_values(dec, coef)
     lines = ["x,y,coefficient,prediction"]
     for x, y, c, p in zip(data.xs, data.ys, coef, preds):
         lines.append(",".join(format_float(v) for v in (x, y, c, p)))

@@ -14,7 +14,7 @@ import numpy as np
 
 from .effdim import check_lambda
 from .errors import DimensionMismatchError, DomainViolationError
-from .kernels import Dataset, KernelSpec, ExplicitSpectrumKernel, cross_gram, feature_matrix, gram_decomposition
+from .kernels import KernelSpec, ExplicitSpectrumKernel, cross_gram, feature_matrix
 from .linalg import SpectralDecomposition
 
 _CUTOFF_VARIANTS = ("tikhonov", "spectral_cutoff", "landweber")
@@ -91,9 +91,12 @@ def fit_from_decomposition(
     return c if lams.ndim else c[:, 0]
 
 
-def fit(data: Dataset, k: KernelSpec, method: FilterMethod, lam: float) -> np.ndarray:
-    """Fit a spectral-filter estimator on a dataset."""
-    return fit_from_decomposition(gram_decomposition(k, data.xs), data.ys, method, lam)
+def fitted_values(dec: SpectralDecomposition, c: np.ndarray) -> np.ndarray:
+    """Values K c of f = sum_j c_j K(x_j, .) at the points x_j whose Gram matrix `dec`
+    decomposes, evaluated spectrally as kscale * G c: O(n r) on a factor route, never
+    forming K."""
+    mu = dec.eigenvalues[: dec.rank]
+    return dec.kscale * dec.expand(mu * dec.project(c))
 
 
 def predict(c: np.ndarray, k: KernelSpec, train_xs: np.ndarray, xs_new: np.ndarray) -> np.ndarray:

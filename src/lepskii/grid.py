@@ -68,7 +68,7 @@ def geometric_grid(lambda0_target: float, q: float) -> Grid:
     return Grid(lambdas=lams, q=float(q))
 
 
-def _bisect_increasing(fn: Callable[[float], float], lo: float, hi: float) -> float:
+def bisect_increasing(fn: Callable[[float], float], lo: float, hi: float) -> float:
     """Root of an increasing function with fn(lo) <= 0 <= fn(hi), to ~1e-10 relative."""
     for _ in range(BISECTION_MAX_ITER):
         mid = 0.5 * (lo + hi)
@@ -93,7 +93,7 @@ def lambda0_from_effdim(effdim_fn: Callable[[float], float], n: int) -> float:
         raise NoRootError("n*lambda exceeds N(lambda) at the lower bracket; spectrum too small for this n")
     if f(1.0) < 0.0:
         raise NoRootError("N(lambda) exceeds n*lambda at lambda = 1; no root in (0, 1]")
-    return _bisect_increasing(f, BISECTION_LO, 1.0)
+    return bisect_increasing(f, BISECTION_LO, 1.0)
 
 
 def heuristic_lambda0(eigenvalues: np.ndarray, q: float) -> float:

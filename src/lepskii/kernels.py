@@ -27,6 +27,7 @@ import csv
 import io
 import os
 import threading
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -203,11 +204,6 @@ def _trig_fill(xs: np.ndarray, scale: np.ndarray) -> np.ndarray:
     return out
 
 
-def trig_basis(xs: np.ndarray, size: int) -> np.ndarray:
-    """Evaluate the first `size` trigonometric basis functions at xs; shape (n, size)."""
-    return _trig_fill(np.asarray(xs, dtype=float), np.ones(size))
-
-
 def _check_domain(k: KernelSpec, xs: np.ndarray) -> np.ndarray:
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     if not np.all(np.isfinite(xs)):
@@ -231,13 +227,19 @@ def cross_gram(k: KernelSpec, xs_a: np.ndarray, xs_b: np.ndarray) -> np.ndarray:
     same = xs_a is xs_b
     xs_a = _check_domain(k, xs_a)
     xs_b = _check_domain(k, xs_b)
+    if not isinstance(k, ExplicitSpectrumKernel):
+        return _closed_form_gram(k, xs_a, xs_b)
+    phi_a = feature_matrix(k, xs_a)
+    return phi_a @ (phi_a if same else feature_matrix(k, xs_b)).T
+
+
+def _closed_form_gram(k: GaussianKernel | PolynomialKernel, xs_a: np.ndarray, xs_b: np.ndarray) -> np.ndarray:
+    """K(a_i, b_j) for a Gaussian or polynomial kernel on points already checked by
+    _check_domain."""
     if isinstance(k, GaussianKernel):
         diff = xs_a[:, None] - xs_b[None, :]
         return np.exp(-(diff**2) / (2.0 * k.bandwidth**2))
-    if isinstance(k, PolynomialKernel):
-        return (k.offset + xs_a[:, None] * xs_b[None, :]) ** k.degree
-    phi_a = feature_matrix(k, xs_a)
-    return phi_a @ (phi_a if same else feature_matrix(k, xs_b)).T
+    return (k.offset + xs_a[:, None] * xs_b[None, :]) ** k.degree
 
 
 def kappa_squared(k: KernelSpec) -> float:
@@ -287,7 +289,8 @@ def _pivoted_cholesky(k: GaussianKernel | PolynomialKernel, xs: np.ndarray) -> n
     at most _EIG_REL_CUTOFF of trace(K), or None unless 0 < r < n // _CHOL_RANK_DIVISOR.
 
     Each step pivots on the largest diagonal entry of the residual K - L L^T and builds
-    that one column of K, so the factor costs O(n r^2) and never forms K.
+    that one column of K, so the factor costs O(n r^2) and never forms K. The points
+    must already have passed _check_domain.
     """
     n = xs.shape[0]
     most = n // _CHOL_RANK_DIVISOR - 1  # the largest rank kept
@@ -308,7 +311,7 @@ def _pivoted_cholesky(k: GaussianKernel | PolynomialKernel, xs: np.ndarray) -> n
             grown = np.empty((min(2 * r, most), n))
             grown[:r] = rows
             rows = grown
-        col = cross_gram(k, xs, xs[p : p + 1])[:, 0]
+        col = _closed_form_gram(k, xs, xs[p : p + 1])[:, 0]
         col -= rows[:r, p] @ rows[:r]
         col /= np.sqrt(pivot)
         rows[r] = col
@@ -405,16 +408,44 @@ def gram_eigenvalues(k: KernelSpec, xs: np.ndarray) -> np.ndarray:
 
 
 def read_dataset_csv(path: str | Path) -> Dataset:
-    """Read a dataset from CSV with header `x,y`."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        return _read_dataset(fh)
+    """Read a dataset from CSV with header `x,y`; a UTF-8 byte-order mark is skipped."""
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        return _parse_dataset(fh.read())
+
+
+def _parse_dataset(text: str) -> Dataset:
+    """The dataset a CSV text holds, read by numpy's C reader when it can and otherwise
+    by the csv module, which gives the same values and owns every error message.
+
+    The C reader refuses every text the csv loop reads differently (quoted fields, `1_000`,
+    whitespace-only or short rows, no rows), and a text with a quote never reaches it,
+    since csv joins lines across a quote even in a column it ignores.
+    """
+    if '"' not in text:
+        fh = io.StringIO(text, newline="")
+        _check_header(csv.reader(fh))
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # "input contained no data" among them
+                rows = np.loadtxt(fh, delimiter=",", usecols=(0, 1), comments=None, ndmin=2)
+        except (ValueError, Warning):
+            pass
+        else:
+            # contiguous columns, as the csv loop gives: BLAS may round strided vectors differently
+            cols = rows.T.copy()
+            return Dataset(cols[0], cols[1])
+    return _read_dataset(io.StringIO(text, newline=""))
+
+
+def _check_header(reader) -> None:
+    header = next(reader, None)
+    if header is None or [h.strip() for h in header[:2]] != ["x", "y"]:
+        raise DomainViolationError("dataset CSV must start with header 'x,y'")
 
 
 def _read_dataset(fh) -> Dataset:
     reader = csv.reader(fh)
-    header = next(reader, None)
-    if header is None or [h.strip() for h in header[:2]] != ["x", "y"]:
-        raise DomainViolationError("dataset CSV must start with header 'x,y'")
+    _check_header(reader)
     xs, ys = [], []
     for row in reader:
         if not row:

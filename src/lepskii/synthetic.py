@@ -29,7 +29,7 @@ from .errors import (
     FullJError,
     NoCrossingError,
 )
-from .grid import BISECTION_LO, Grid, _bisect_increasing
+from .grid import BISECTION_LO, Grid, bisect_increasing
 from .kernels import Dataset, ExplicitSpectrumKernel, feature_matrix, kappa_squared
 
 
@@ -244,7 +244,7 @@ def balance_crossing(a_tilde: Callable[[float], float], s_tilde: Callable[[float
         raise NoCrossingError("A exceeds S already at the lower bracket")
     if gap(1.0) < 0.0:
         raise NoCrossingError("A stays below S on all of (0, 1]")
-    return _bisect_increasing(gap, BISECTION_LO, 1.0)
+    return bisect_increasing(gap, BISECTION_LO, 1.0)
 
 
 def oracle_lambda_balance(

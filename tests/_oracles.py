@@ -1,7 +1,7 @@
 """Independent test oracles: brute-force re-implementations kept deliberately
 separate from the library code paths they check. Also the test-only helpers
 built on library internals (weighted_diff_norm, model_sample_error,
-bernstein_bound), which the library itself has no use for."""
+bernstein_bound, fit, trig_basis), which the library itself has no use for."""
 
 import numpy as np
 import scipy.linalg
@@ -15,6 +15,8 @@ from lepskii.errors import (
     InvalidEtaError,
     InvalidLambdaError,
 )
+from lepskii.estimators import fit_from_decomposition
+from lepskii.kernels import _trig_fill, gram_decomposition
 
 
 def dense_weighted_norm(d, g_dense, kmat, lam_p, s):
@@ -122,3 +124,14 @@ def bernstein_bound(n, L, sigma, eta):
     if n < 1 or L < 0 or sigma < 0:
         raise InsufficientDataError("need n >= 1 and L, sigma >= 0")
     return float(2.0 * np.log(2.0 / eta) * (L / n + sigma / np.sqrt(n)))
+
+
+def fit(data, k, method, lam):
+    """Coefficients of a spectral-filter estimator fitted on a dataset at one lambda."""
+    return fit_from_decomposition(gram_decomposition(k, data.xs), data.ys, method, lam)
+
+
+def trig_basis(xs, size):
+    """The first `size` trigonometric basis functions at xs through the library's fill;
+    shape (n, size)."""
+    return _trig_fill(np.asarray(xs, dtype=float), np.ones(size))

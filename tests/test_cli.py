@@ -3,11 +3,12 @@ import json
 import numpy as np
 import pytest
 
+from lepskii import estimators, kernels
 from lepskii.balancing import BalancingConfig, balancing_select
 from lepskii.cli import dispatch, parse_kernel
 from lepskii.estimators import TIKHONOV, fit_from_decomposition
 from lepskii.grid import geometric_grid, heuristic_lambda0
-from lepskii.kernels import GaussianKernel, gram_decomposition, read_dataset_csv
+from lepskii.kernels import Dataset, GaussianKernel, gram_decomposition, read_dataset_csv, write_dataset_csv
 from lepskii.synthetic import generate, model_from_dict
 
 
@@ -261,6 +262,28 @@ def test_experiment_config_rejects_unknown_values(tmp_path, capsys, section, key
     err = capsys.readouterr().err
     assert code == 1 and repr(value) in err and f"allowed: {allowed}" in err
     assert not (tmp_path / "out").exists()
+
+
+def test_fit_predicts_through_the_factor(tmp_path, monkeypatch):
+    # n = 2000 on Gaussian(0.2) takes the Cholesky route: no n x n kernel block is built
+    rng = np.random.default_rng(8)
+    xs = rng.random(2000)
+    data_path, out = tmp_path / "d.csv", tmp_path / "fit.csv"
+    write_dataset_csv(Dataset(xs, np.sin(2.0 * np.pi * xs) + 0.1 * rng.standard_normal(2000)), data_path)
+    cross_gram = kernels.cross_gram
+
+    def small_blocks_only(k, xs_a, xs_b):
+        assert min(np.size(xs_a), np.size(xs_b)) == 1, "fit asked for a kernel matrix block"
+        return cross_gram(k, xs_a, xs_b)
+
+    for module in (kernels, estimators):
+        monkeypatch.setattr(module, "cross_gram", small_blocks_only)
+    argv = ["fit", "--data", str(data_path), "--kernel", "gaussian:0.2", "--lambda", "1e-4"]
+    assert dispatch([*argv, "--out", str(out)]) == 0
+    table = np.loadtxt(out, delimiter=",", skiprows=1)
+    assert table.shape == (2000, 4)
+    dense = cross_gram(GaussianKernel(0.2), table[:, 0], table[:, 0]) @ table[:, 2]
+    assert np.max(np.abs(table[:, 3] - dense)) <= 1e-10 * np.max(np.abs(dense))
 
 
 def test_short_csv_row_is_a_domain_error(tmp_path, capsys):

@@ -2,21 +2,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _oracles import weighted_diff_norm
+from _oracles import fit, weighted_diff_norm
 from lepskii.errors import DimensionMismatchError, DomainViolationError, InvalidLambdaError
 from lepskii.estimators import (
     LANDWEBER,
     SPECTRAL_CUTOFF,
     TIKHONOV,
     filter_value,
-    fit,
     fit_from_decomposition,
+    fitted_values,
     predict,
 )
 from lepskii.kernels import (
     Dataset,
     ExplicitSpectrumKernel,
     GaussianKernel,
+    PolynomialKernel,
     cross_gram,
     gram_decomposition,
     kappa_squared,
@@ -116,6 +117,26 @@ def test_predict_training_points_equal_kc():
     c = fit(sample.data, k, LANDWEBER, 0.2)
     preds = predict(c, k, sample.data.xs, sample.data.xs)
     assert np.allclose(preds, cross_gram(k, sample.data.xs, sample.data.xs) @ c, atol=1e-10)
+
+
+@pytest.mark.parametrize(
+    "k, n, factored",
+    [
+        (GaussianKernel(0.2), 400, True),
+        (PolynomialKernel(3, 1.0), 400, True),
+        (GaussianKernel(0.2), 40, False),
+    ],
+    ids=["gaussian-factor", "poly-factor", "gaussian-dense"],
+)
+def test_fitted_values_match_the_kernel_matrix(k, n, factored):
+    rng = np.random.default_rng(17)
+    xs = rng.uniform(-1.0, 1.0, n) if isinstance(k, PolynomialKernel) else rng.random(n)
+    ys = np.sin(2.0 * np.pi * xs) + 0.1 * rng.standard_normal(n)
+    dec = gram_decomposition(k, xs)
+    assert (dec.basis is not None) == factored
+    c = fit_from_decomposition(dec, ys, TIKHONOV, 1e-4)
+    dense = cross_gram(k, xs, xs) @ c
+    assert np.max(np.abs(fitted_values(dec, c) - dense)) <= 1e-10 * np.max(np.abs(dense))
 
 
 @pytest.mark.parametrize("kernel", ["gaussian", "explicit"])

@@ -1,11 +1,13 @@
+import io
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from _oracles import explicit_kernel_matrix
-from lepskii import experiments
+from _oracles import explicit_kernel_matrix, trig_basis
+from lepskii import experiments, kernels
 from lepskii.errors import DimensionMismatchError, DomainViolationError, NotPositiveSemiDefiniteError
 from lepskii.kernels import (
     Dataset,
@@ -20,7 +22,6 @@ from lepskii.kernels import (
     kappa_squared,
     normalized_gram,
     read_dataset_csv,
-    trig_basis,
     write_dataset_csv,
 )
 from lepskii.estimators import TIKHONOV
@@ -333,6 +334,78 @@ def test_dataset_csv_roundtrip(tmp_path):
     back = read_dataset_csv(path)
     assert np.array_equal(back.xs, data.xs) and np.array_equal(back.ys, data.ys)
     assert dataset_to_csv(back) == dataset_to_csv(data)
+
+
+def _outcome(read, text):
+    """Bit patterns of xs and ys that `read` returns on `text`, or its exception."""
+    try:
+        data = read(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return data.xs.tobytes(), data.ys.tobytes()
+
+
+def _csv_loop(text):
+    return kernels._read_dataset(io.StringIO(text, newline=""))
+
+
+# tokens the csv loop and numpy's C reader might read differently, next to plain numbers
+_CSV_TOKENS = ["1", "-2.25", " 3.5 ", "1e-3", "+.5", "5.", "0.1234567890123456789", "1e-400",
+               "nan", "1e400", "1_000", "", " ", "abc", "0x10", "\t4", "\x0c5", "6\xa0", '"7"', '"8,9"',
+               '"', "#1", "1 2", "８"]
+_csv_rows = st.lists(st.sampled_from(_CSV_TOKENS[:8]) | st.sampled_from(_CSV_TOKENS), min_size=0, max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    header=st.sampled_from(["x,y", " x , y ", "x,y,z", "y,x", "", '"x",y']),
+    rows=st.lists(_csv_rows.map(",".join), max_size=6),
+    end=st.sampled_from(["\n", "\r\n", "\r"]),
+    tail=st.booleans(),
+)
+def test_c_reader_matches_the_csv_loop(header, rows, end, tail):
+    text = end.join([header, *rows]) + (end if tail else "")
+    assert _outcome(kernels._parse_dataset, text) == _outcome(_csv_loop, text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        'x,y\n"0.5",1\n',  # quoted field
+        "x,y\n1_000,2\n",  # underscore digits, which only float() reads
+        "x,y\n0.5,1\n   \n0.7,2\n",  # whitespace-only row
+        "x,y\r0.5,1\r0.7,2\r",  # bare CR line ends
+        "x,y\n",  # header only
+        'x,y\n0.5,1,"a\n0.7,2\n0.9,3,b"\n',  # a quote in a third column joins lines
+    ],
+    ids=["quoted", "underscore", "blank-row", "cr", "header-only", "quote-third-column"],
+)
+def test_c_reader_matches_the_csv_loop_on_inputs_it_refuses(text, recwarn):
+    assert _outcome(kernels._parse_dataset, text) == _outcome(_csv_loop, text)
+    assert not recwarn.list  # numpy's "input contained no data" stays inside the reader
+
+
+def test_plain_csv_takes_the_c_reader(tmp_path, monkeypatch):
+    data = Dataset(xs=np.array([0.1, 0.25, 1.0 / 3.0]), ys=np.array([1.5, -2.25, 0.125]))
+    path = tmp_path / "d.csv"
+    path.write_bytes(dataset_to_csv(data).replace("\n", "\r\n").encode())
+
+    def refuse(fh):
+        raise AssertionError("a plain CSV fell back to the csv loop")
+
+    monkeypatch.setattr(kernels, "_read_dataset", refuse)
+    back = read_dataset_csv(path)
+    assert back.xs.tobytes() == data.xs.tobytes() and back.ys.tobytes() == data.ys.tobytes()
+
+
+def test_csv_with_a_byte_order_mark_is_read(tmp_path):
+    # spreadsheet "CSV UTF-8" exports start with the UTF-8 byte-order mark
+    text = "x,y\n0.5,1\n0.25,-2\n"
+    for body in (text, text.replace("0.5", '"0.5"')):  # the C reader and the csv loop
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + body.encode())
+        back = read_dataset_csv(path)
+        assert back.xs.tolist() == [0.5, 0.25] and back.ys.tolist() == [1.0, -2.0]
 
 
 def test_dataset_validation():

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from _oracles import oracle_lambda_regular
+from _oracles import fit, oracle_lambda_regular
 
 from lepskii.effdim import SampleErrorParams, effdim_clamped, model_effdim, sample_error
 from lepskii.errors import (
@@ -9,7 +9,7 @@ from lepskii.errors import (
     EmptyJError,
     NoCrossingError,
 )
-from lepskii.estimators import TIKHONOV, fit
+from lepskii.estimators import TIKHONOV
 from lepskii.grid import Grid, geometric_grid
 from lepskii.kernels import cross_gram, feature_matrix, kappa_squared
 from lepskii.synthetic import (
