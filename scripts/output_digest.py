@@ -9,11 +9,11 @@ The calls (CALLS below) run one at a time in a fresh temporary directory, each i
 interpreter that imports the library from the given `src/` directory, with BLAS pinned to
 one thread. They cover `simulate`, `effdim` on the dense and the factor route, `grid`,
 `fit` with a Gaussian kernel (dense route) and with a polynomial kernel (Cholesky factor
-route), `balance` with a Gaussian kernel (practical constant) and with a polynomial kernel
-(theoretical constant, s = 0), a D = 100 `experiment`, and `rate` on that experiment's
-results. The script prints one `sha256  file` line per output file. With `--against` it
-runs the same calls on the other tree, prints `same` or `DIFFERS` per file, and exits 1
-when any file differs.
+route), `balance` with a Gaussian kernel (practical constant at factors 20 and 2; at 2 the
+selector rejects part of the grid) and with a polynomial kernel (theoretical constant,
+s = 0), a D = 100 `experiment`, and `rate` on that experiment's results. The script
+prints one `sha256  file` line per output file. With `--against` it runs the same calls
+on the other tree, prints `same` or `DIFFERS` per file, and exits 1 when any file differs.
 """
 
 from __future__ import annotations
@@ -67,6 +67,8 @@ CALLS = (
       "--out", "fit_poly.csv"], ["fit_poly.csv"]),
     (["balance", "--data", "data.csv", "--kernel", "gaussian:0.2", "--sigma", "0.3",
       "--M", "0.3", "--out", "balance_gaussian.json"], ["balance_gaussian.json"]),
+    (["balance", "--data", "data.csv", "--kernel", "gaussian:0.2", "--sigma", "0.3",
+      "--bal-factor", "2", "--out", "balance_responsive.json"], ["balance_responsive.json"]),
     (["balance", "--data", "data.csv", "--kernel", "poly:3:1", "--sigma", "0.3", "--s", "0",
       "--lambda0", "0.01", "--constant-mode", "theoretical", "--bal-factor", "0.5",
       "--out", "balance_poly.json"], ["balance_poly.json"]),

@@ -41,6 +41,7 @@ from .synthetic import (
     model_effdim_fn,
     model_from_dict,
     reject_unknown_keys,
+    typed_values,
 )
 
 
@@ -162,15 +163,17 @@ def cmd_balance(args) -> int:
     )
     fits = fit_from_decomposition(dec, data.ys, FILTERS[args.filter], grid.lambdas)
     diag = balancing_select(fits, grid, dec, cfg)
+    lams = grid.lambdas.tolist()
+    pairs = [(i, j) for i in range(len(lams)) for j in range(i)]  # diag.pairwise_norms' order
     doc = {
         "lambda_hat": diag.lambda_hat,
-        "s": diag.s,
-        "grid": [float(v) for v in grid.lambdas],
+        "s": cfg.s,
+        "grid": lams,
         "jplus": list(diag.jplus),
-        "thresholds": {format_float(k): v for k, v in sorted(diag.thresholds.items())},
+        "thresholds": dict(zip(map(format_float, lams), diag.thresholds.tolist())),
         "pairwise_norms": {
-            f"{format_float(lam)},{format_float(lam_p)}": v
-            for (lam, lam_p), v in sorted(diag.pairwise_norms.items())
+            f"{format_float(lams[i])},{format_float(lams[j])}": v
+            for (i, j), v in zip(pairs, diag.pairwise_norms.tolist())
         },
     }
     _write_or_print(json.dumps(doc, indent=2) + "\n", args.out)
@@ -184,6 +187,7 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+@typed_values("the experiment config")
 def _experiment_config(doc: dict) -> ExperimentConfig:
     reject_unknown_keys(
         doc,

@@ -87,9 +87,9 @@ def holdout_select(
     grid: Grid,
     k: KernelSpec,
     m: FilterMethod,
-) -> float:
-    """Grid lambda minimizing validation MSE on a deterministic head/tail split;
-    ties break toward larger lambda."""
+) -> int:
+    """Grid position of the lambda minimizing validation MSE on a deterministic
+    head/tail split; ties break toward larger lambda."""
     if not (0.0 < split_fraction < 1.0):
         raise DegenerateSplitError(f"split fraction must lie in (0, 1), got {split_fraction}")
     n_train = int(np.ceil(split_fraction * data.n))
@@ -102,7 +102,7 @@ def holdout_select(
     del dec  # release the decomposition's n_train-row factor before predict builds its matrices
     mse = np.mean((ys_va[:, None] - predict(fits, k, xs_tr, xs_va)) ** 2, axis=0)
     # last index of the minimum, so the larger lambda wins ties
-    return float(grid.lambdas[np.flatnonzero(mse == mse.min())[-1]])
+    return int(np.flatnonzero(mse == mse.min())[-1])
 
 
 def _replication_rows(
@@ -138,7 +138,6 @@ def _replication_rows(
         return _failed_rows(cfg, n, rep, exc)
     shared_ms = (time.perf_counter() - t_start) * 1000.0
 
-    at = grid.lambdas.tolist().index
     rows, grid_errs_s12 = [], []
     for filt in cfg.filters:
         row = ExperimentRow(n=n, replication=rep, filter=filt.variant)
@@ -162,12 +161,12 @@ def _replication_rows(
             row.lambda_hat_zero = diag_zero.lambda_hat
             row.lambda_star = lam_star
             row.lambda_oracle = lam_oracle
-            row.err_s0_at_hat = errs_s0[at(diag_zero.lambda_hat)]
-            row.err_s12_at_hat = errs_s12[at(diag_half.lambda_hat)]
+            row.err_s0_at_hat = errs_s0[diag_zero.index]
+            row.err_s12_at_hat = errs_s12[diag_half.index]
             row.err_min_over_grid_s0 = min(errs_s0)
             row.err_min_over_grid_s12 = min(errs_s12)
             row.err_at_oracle = err_oracle
-            row.err_s0_at_hat_half = errs_s0[at(diag_half.lambda_hat)]
+            row.err_s0_at_hat_half = errs_s0[diag_half.index]
         except (LepskiiError, np.linalg.LinAlgError) as exc:
             row.error = f"{type(exc).__name__}: {exc}"
         row.wall_time_ms = shared_ms + (time.perf_counter() - t_f) * 1000.0
@@ -183,9 +182,9 @@ def _replication_rows(
             continue
         t_h = time.perf_counter()
         try:
-            holdout_lam = holdout_select(data, cfg.holdout_fraction, grid, kernel, filt)
-            rows[i].holdout_lambda = holdout_lam
-            rows[i].err_at_holdout = errs_s12[at(holdout_lam)]
+            at = holdout_select(data, cfg.holdout_fraction, grid, kernel, filt)
+            rows[i].holdout_lambda = float(grid.lambdas[at])
+            rows[i].err_at_holdout = errs_s12[at]
         except (LepskiiError, np.linalg.LinAlgError) as exc:
             # a failed row carries no values, whichever stage failed
             rows[i] = ExperimentRow(

@@ -423,12 +423,12 @@ def _parse_dataset(text: str) -> Dataset:
     """
     if '"' not in text:
         fh = io.StringIO(text, newline="")
-        _check_header(csv.reader(fh))
         try:
+            _check_header(csv.reader(fh))
             with warnings.catch_warnings():
                 warnings.simplefilter("error")  # "input contained no data" among them
                 rows = np.loadtxt(fh, delimiter=",", usecols=(0, 1), comments=None, ndmin=2)
-        except (ValueError, Warning):
+        except (ValueError, Warning, csv.Error):
             pass
         else:
             # contiguous columns, as the csv loop gives: BLAS may round strided vectors differently
@@ -445,15 +445,18 @@ def _check_header(reader) -> None:
 
 def _read_dataset(fh) -> Dataset:
     reader = csv.reader(fh)
-    _check_header(reader)
     xs, ys = [], []
-    for row in reader:
-        if not row:
-            continue
-        if len(row) < 2:
-            raise DomainViolationError(f"dataset CSV line {reader.line_num} has no y value")
-        xs.append(float(row[0]))
-        ys.append(float(row[1]))
+    try:
+        _check_header(reader)
+        for row in reader:
+            if not row:
+                continue
+            if len(row) < 2:
+                raise DomainViolationError(f"dataset CSV line {reader.line_num} has no y value")
+            xs.append(float(row[0]))
+            ys.append(float(row[1]))
+    except csv.Error as exc:  # such as a field over csv's size limit
+        raise DomainViolationError(f"dataset CSV line {reader.line_num}: {exc}") from None
     if not xs:
         raise DomainViolationError("dataset CSV contains no rows")
     return Dataset(np.array(xs), np.array(ys))

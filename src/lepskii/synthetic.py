@@ -10,6 +10,7 @@ finite computation over the declared spectrum.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Union
@@ -327,6 +328,17 @@ def check_choice(value, allowed: tuple[str, ...], where: str) -> str:
     return value
 
 
+@contextmanager
+def typed_values(where: str):
+    """Decorator: a wrongly typed value in the document `where` (null for a number, a
+    number for a list) is a ValueError, as every other bad value is, not a TypeError."""
+    try:
+        yield
+    except TypeError as exc:
+        raise ValueError(f"wrongly typed value in {where}: {exc}") from None
+
+
+@typed_values("the model document")
 def model_from_dict(doc: dict) -> SyntheticModel:
     reject_unknown_keys(doc, ("spectrum", "source", "noise"), "the model document")
     spec = reject_unknown_keys(doc.get("spectrum", {}), ("type", "b", "D", "t"), "spectrum")

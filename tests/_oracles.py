@@ -6,7 +6,6 @@ bernstein_bound, fit, trig_basis), which the library itself has no use for."""
 import numpy as np
 import scipy.linalg
 
-from lepskii.balancing import _projected_norm_sq
 from lepskii.effdim import effdim_clamped, model_effdim, sample_error
 from lepskii.errors import (
     DimensionMismatchError,
@@ -109,7 +108,9 @@ def weighted_diff_norm(c1, c2, dec, lambda_prime, s):
     if not (0.0 <= s <= 0.5):
         raise DomainViolationError(f"norm parameter s must lie in [0, 1/2], got {s}")
     e = dec.project(c1 - c2)
-    return float(np.sqrt(max(_projected_norm_sq(e, dec, lambda_prime, s), 0.0)))
+    # the weights written out here, not taken from the selector, which this checks
+    mu = dec.eigenvalues[: dec.rank]
+    return float(np.sqrt(max(np.sum(dec.kscale * mu * (mu + lambda_prime) ** (2.0 * s) * e * e), 0.0)))
 
 
 def model_sample_error(p, t_bar, lam):

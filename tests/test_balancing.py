@@ -131,11 +131,37 @@ def test_pairwise_norms_match_dense_oracle(route, s):
     xs = sample.data.xs
     g_dense = normalized_gram(kernel, xs).values
     kmat = cross_gram(kernel, xs, xs)
-    column = {float(lam): j for j, lam in enumerate(grid.lambdas)}
-    assert len(diag.pairwise_norms) == grid.size * (grid.size - 1) // 2
-    for (lam, lam_p), norm in diag.pairwise_norms.items():
-        d = fits[:, column[lam]] - fits[:, column[lam_p]]
+    pairs = _pairs(grid.size)
+    assert len(diag.pairwise_norms) == len(pairs)
+    for (i, j), norm in zip(pairs, diag.pairwise_norms):
+        d = fits[:, i] - fits[:, j]
+        lam_p = float(grid.lambdas[j])
         assert norm == pytest.approx(dense_weighted_norm(d, g_dense, kmat, lam_p, s), rel=1e-8)
+
+
+def _pairs(m):
+    """The documented pair order of the norms: (1, 0), (2, 0), (2, 1), (3, 0), ..."""
+    return [(i, j) for i in range(m) for j in range(i)]
+
+
+def test_evidence_arrays_follow_the_grid():
+    # bal_factor 2 on this instance accepts 5 of 7 grid points, and grid points 5 and 6
+    # each pass some of their pairs and fail others
+    model, sample, kernel, dec = _instance(3)
+    grid = geometric_grid(0.02, 2.0)
+    fits = _fit_family(dec, sample.data.ys, grid.lambdas)
+    diag = balancing_select(fits, grid, dec, BalancingConfig(sigma=0.3, bal_factor=2.0))
+    m = grid.size
+    assert len(diag.pairwise_norms) == m * (m - 1) // 2 and len(diag.thresholds) == m
+    assert grid.lambdas[diag.index] == diag.lambda_hat == max(diag.jplus)
+    passed = {i: [] for i in range(m)}
+    for (i, j), norm in zip(_pairs(m), diag.pairwise_norms):
+        passed[i].append(bool(norm <= diag.thresholds[j]))
+    assert any(True in v and False in v for v in passed.values())
+    accepted = [all(passed[i]) for i in range(m)]
+    assert sum(accepted) < m
+    assert diag.jplus == tuple(grid.lambdas[accepted].tolist())
+    assert all(type(lam) is float for lam in diag.jplus)
 
 
 def test_selection_deterministic():
@@ -145,8 +171,9 @@ def test_selection_deterministic():
     cfg = BalancingConfig(sigma=0.3)
     a = balancing_select(fits, grid, dec, cfg)
     b = balancing_select(fits, grid, dec, cfg)
-    assert a.lambda_hat == b.lambda_hat and a.jplus == b.jplus
-    assert a.pairwise_norms == b.pairwise_norms and a.thresholds == b.thresholds
+    assert a.lambda_hat == b.lambda_hat and a.index == b.index and a.jplus == b.jplus
+    assert np.array_equal(a.pairwise_norms, b.pairwise_norms)
+    assert np.array_equal(a.thresholds, b.thresholds)
 
 
 def test_empirical_threshold_curve_strictly_decreasing():

@@ -7,6 +7,7 @@ from lepskii import estimators, kernels
 from lepskii.balancing import BalancingConfig, balancing_select
 from lepskii.cli import dispatch, parse_kernel
 from lepskii.estimators import TIKHONOV, fit_from_decomposition
+from lepskii.experiments import format_float
 from lepskii.grid import geometric_grid, heuristic_lambda0
 from lepskii.kernels import Dataset, GaussianKernel, gram_decomposition, read_dataset_csv, write_dataset_csv
 from lepskii.synthetic import generate, model_from_dict
@@ -180,7 +181,11 @@ def test_balance_cli_matches_library(tmp_path, model_file):
     diag = balancing_select(fits, grid, dec, BalancingConfig(sigma=0.3, eta=0.1))
     assert doc["lambda_hat"] == diag.lambda_hat
     assert doc["jplus"] == list(diag.jplus)
-    assert len(doc["pairwise_norms"]) == len(diag.pairwise_norms)
+    assert list(doc["thresholds"].values()) == diag.thresholds.tolist()
+    # the library side fits one lambda at a time, which sums in another order than the CLI
+    assert list(doc["pairwise_norms"].values()) == pytest.approx(diag.pairwise_norms, rel=1e-9)
+    lams = [format_float(v) for v in grid.lambdas]
+    assert list(doc["pairwise_norms"]) == [f"{lams[i]},{lams[j]}" for i in range(grid.size) for j in range(i)]
 
 
 def test_experiment_command_roundtrip_and_determinism(tmp_path, model_file):
@@ -264,6 +269,32 @@ def test_experiment_config_rejects_unknown_values(tmp_path, capsys, section, key
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "command, section, key, value",
+    [
+        ("experiment", None, "n_values", 5),
+        ("experiment", None, "replications", None),
+        ("experiment", "spectrum", "b", None),
+        ("simulate", "spectrum", "b", None),
+        ("effdim", "spectrum", "b", None),
+    ],
+)
+def test_wrongly_typed_document_values_are_bad_input(tmp_path, capsys, command, section, key, value):
+    # a null number or a number in place of a list used to end in a TypeError traceback
+    model = json.loads(json.dumps(MODEL_DOC))
+    cfg = {"model": model, "n_values": [60], "replications": 1}
+    {None: cfg, **model}[section][key] = value
+    doc, argv = (cfg, ["--config"]) if command == "experiment" else (model, ["--n", "30", "--model"])
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    extra = ["--out-dir", str(tmp_path / "out")] if command == "experiment" else []
+    code = dispatch([command, *argv, str(path), *extra])
+    err = capsys.readouterr().err
+    assert code == 1 and err.startswith("error: bad input document or value: wrongly typed value")
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_fit_predicts_through_the_factor(tmp_path, monkeypatch):
     # n = 2000 on Gaussian(0.2) takes the Cholesky route: no n x n kernel block is built
     rng = np.random.default_rng(8)
@@ -291,6 +322,24 @@ def test_short_csv_row_is_a_domain_error(tmp_path, capsys):
     data.write_text("x,y\n0.1,0.2\n0.5\n", encoding="utf-8")
     code = dispatch(["fit", "--data", str(data), "--kernel", "gaussian:0.2", "--lambda", "0.1"])
     assert code == 1 and "line 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where", ["header", "row"])
+@pytest.mark.parametrize("command", ["fit", "balance"])
+def test_csv_field_over_the_csv_size_limit_is_a_domain_error(tmp_path, capsys, command, where):
+    # csv refuses fields over 131072 characters; its error used to escape as a traceback.
+    # The unquoted header goes through the header check of the C-reader path, the quoted
+    # row through the csv loop.
+    big = "a" * 131073
+    text = f"x,y,{big}\n0.1,0.2\n" if where == "header" else f'x,y\n0.1,0.2,"{big}"\n'
+    data = tmp_path / "big.csv"
+    data.write_text(text, encoding="utf-8")
+    extra = ["--lambda", "0.1"] if command == "fit" else ["--sigma", "0.3"]
+    code = dispatch([command, "--data", str(data), "--kernel", "gaussian:0.2", *extra])
+    err = capsys.readouterr().err
+    line = 1 if where == "header" else 2
+    assert code == 1 and err.startswith(f"error: dataset CSV line {line}: field larger than field limit")
+    assert len(err.splitlines()) == 1
 
 
 def test_unusable_paths_are_domain_errors(tmp_path, capsys):

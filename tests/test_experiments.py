@@ -37,7 +37,7 @@ def test_holdout_brute_force_agreement():
     for seed in range(10):
         model, sample = _holdout_instance(seed)
         kernel = model.kernel()
-        lam = holdout_select(sample.data, 0.5, grid, kernel, TIKHONOV)
+        at = holdout_select(sample.data, 0.5, grid, kernel, TIKHONOV)
         # independent exhaustive evaluation
         n_tr = int(np.ceil(0.5 * sample.data.n))
         xs_tr, ys_tr = sample.data.xs[:n_tr], sample.data.ys[:n_tr]
@@ -49,7 +49,7 @@ def test_holdout_brute_force_agreement():
             mse = float(np.mean((ys_va - predict(c, kernel, xs_tr, xs_va)) ** 2))
             if mse <= best_mse:
                 best, best_mse = float(cand), mse
-        assert lam == best
+        assert grid.lambdas[at] == best
 
 
 def test_holdout_matches_direct_tikhonov_solves_on_the_factor_route():
@@ -57,8 +57,8 @@ def test_holdout_matches_direct_tikhonov_solves_on_the_factor_route():
     for seed in range(10):
         model, sample = _holdout_instance(seed, n=80)  # 40 training points > D = 20
         kernel = model.kernel()
-        lam = holdout_select(sample.data, 0.5, grid, kernel, TIKHONOV)
-        assert lam == holdout_tikhonov_lambda(
+        at = holdout_select(sample.data, 0.5, grid, kernel, TIKHONOV)
+        assert grid.lambdas[at] == holdout_tikhonov_lambda(
             kernel.eigenvalues, kappa_squared(kernel), sample.data.xs, sample.data.ys, grid.lambdas
         )
 
@@ -68,7 +68,7 @@ def test_holdout_tie_breaks_toward_larger_lambda():
     data = Dataset(xs=np.linspace(0.05, 0.95, 10), ys=np.zeros(10))
     model = polynomial_spectrum_model(b=2.0, size=5)
     grid = geometric_grid(0.1, 2.0)
-    assert holdout_select(data, 0.5, grid, model.kernel(), TIKHONOV) == 1.0
+    assert holdout_select(data, 0.5, grid, model.kernel(), TIKHONOV) == grid.size - 1
 
 
 def test_holdout_degenerate_split():
