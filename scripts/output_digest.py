@@ -11,8 +11,10 @@ one thread. They cover `simulate`, `effdim` on the dense and the factor route, `
 `fit` with a Gaussian kernel (dense route) and with a polynomial kernel (Cholesky factor
 route), `balance` with a Gaussian kernel (practical constant at factors 20 and 2; at 2 the
 selector rejects part of the grid) and with a polynomial kernel (theoretical constant,
-s = 0), a D = 100 `experiment`, and `rate` on that experiment's results. The script
-prints one `sha256  file` line per output file. With `--against` it runs the same calls
+s = 0), three D = 100 `experiment` runs (lambda0 from the model; heuristic lambda0 with the
+spectral cut-off filter and smoothness r = 1.5; a pinned lambda0 whose grid misses the
+crossing at one n, so some rows are failure-tagged), and `rate` on the first run's
+results. The script prints one `sha256  file` line per output file. With `--against` it runs the same calls
 on the other tree, prints `same` or `DIFFERS` per file, and exits 1 when any file differs.
 """
 
@@ -50,7 +52,17 @@ EXPERIMENT = {
     "lambda0_mode": "model",
     "holdout_fraction": 0.5,
 }
-INPUTS = {"model.json": SMALL_MODEL, "experiment.json": EXPERIMENT}
+# the grid from the data's own eigenvalues, with the r > 1 remainder in the truth
+HEURISTIC_EXPERIMENT = {
+    **EXPERIMENT,
+    "model": {**EXPERIMENT["model"], "source": {"type": "holder", "r": 1.5, "R": 1.0, "h": "spread"}},
+    "filters": ["spectral_cutoff"],
+    "lambda0_mode": "heuristic",
+}
+# lambda0 = 0.1 brackets the crossing at n = 64 but not at n = 256 (EmptyJError rows)
+PINNED_EXPERIMENT = {**EXPERIMENT, "n_values": [64, 256], "replications": 2, "lambda0_mode": 0.1}
+INPUTS = {"model.json": SMALL_MODEL, "experiment.json": EXPERIMENT,
+          "heuristic.json": HEURISTIC_EXPERIMENT, "pinned.json": PINNED_EXPERIMENT}
 
 # (argv, output files), run in order inside the work directory
 CALLS = (
@@ -74,6 +86,10 @@ CALLS = (
       "--out", "balance_poly.json"], ["balance_poly.json"]),
     (["experiment", "--config", "experiment.json", "--out-dir", "experiment"],
      ["experiment/results.csv", "experiment/summary.json"]),
+    (["experiment", "--config", "heuristic.json", "--out-dir", "heuristic"],
+     ["heuristic/results.csv", "heuristic/summary.json"]),
+    (["experiment", "--config", "pinned.json", "--out-dir", "pinned"],
+     ["pinned/results.csv", "pinned/summary.json"]),
     (["rate", "--results", "experiment/results.csv", "--out", "rate.json"], ["rate.json"]),
 )
 

@@ -37,6 +37,7 @@ from .kernels import (
 from .synthetic import (
     check_choice,
     generate,
+    integer,
     load_model_json,
     model_effdim_fn,
     model_from_dict,
@@ -220,9 +221,9 @@ def _experiment_config(doc: dict) -> ExperimentConfig:
             ) from None
     return ExperimentConfig(
         model=model,
-        n_values=tuple(int(v) for v in doc["n_values"]),
-        replications=int(doc["replications"]),
-        seed_base=int(doc.get("seed_base", 0)),
+        n_values=tuple(integer(v, "n_values") for v in doc["n_values"]),
+        replications=integer(doc["replications"], "replications"),
+        seed_base=integer(doc.get("seed_base", 0), "seed_base"),
         grid_q=float(doc.get("grid_q", 2.0)),
         balancing=cfg_bal,
         filters=tuple(

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import io
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -53,6 +54,10 @@ class ExperimentConfig:
     lambda0_mode: str | float = "model"  # "model" | "heuristic" | explicit value
     holdout_fraction: float = 0.5
     outputs: Mapping[str, str] = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.replications < 0:
+            raise InsufficientDataError("replications must be >= 0")
 
 
 @dataclass
@@ -105,37 +110,38 @@ def holdout_select(
     return int(np.flatnonzero(mse == mse.min())[-1])
 
 
-def _replication_rows(
-    cfg: ExperimentConfig,
-    n: int,
-    rep: int,
-    fixed_grid: Grid | None,
-    fixed_lambda_star: float | None,
-    lam_oracle: float,
-    oracle: ApproxErrorOracle,
-    effdim_fn: Callable[[float], float],
-) -> list[ExperimentRow]:
+def _replication_rows(cfg: ExperimentConfig, n: int, rep: int) -> list[ExperimentRow]:
     model = cfg.model
     kernel = model.kernel()
-    sample = generate(model, n, cfg.seed_base + rep)
-    data = sample.data
-    a_true = sample.target_coeffs
-
-    t_start = time.perf_counter()
     try:
+        # The truth at n comes before the draw, so a failing n tags every replication
+        # with the same error and never reaches generate.
+        effdim_fn = model_effdim_fn(model)
+        oracle = ApproxErrorOracle.from_model(model)
+        params = model.params(n)
+        lam_oracle = oracle_lambda_balance(oracle, effdim_fn, params)
+        grid = None
+        if cfg.lambda0_mode != "heuristic":
+            lam0 = (
+                lambda0_from_effdim(effdim_fn, n)
+                if cfg.lambda0_mode == "model"
+                else float(cfg.lambda0_mode)
+            )
+            grid = geometric_grid(lam0, cfg.grid_q)
+            lam_star = lambda_star(grid, oracle, effdim_fn, params)
+        sample = generate(model, n, cfg.seed_base + rep)
+        t_start = time.perf_counter()
         # Lifted once here: the benchmark checks the truth-error columns to 1e-12 relative
         # against references recorded with the explicit eigenvectors phi @ w, and fitting
         # through the factored form sums in another order, which moves them by up to 1e-11.
-        dec = gram_decomposition(kernel, data.xs, sample.features).lifted()
-        if fixed_grid is None:
-            lam0 = heuristic_lambda0(dec.eigenvalues, cfg.grid_q)
-            grid = geometric_grid(lam0, cfg.grid_q)
-            lam_star = lambda_star(grid, oracle, effdim_fn, model.params(n))
-        else:
-            grid = fixed_grid
-            lam_star = fixed_lambda_star
+        dec = gram_decomposition(kernel, sample.data.xs, sample.features).lifted()
+        if grid is None:
+            grid = geometric_grid(heuristic_lambda0(dec.eigenvalues, cfg.grid_q), cfg.grid_q)
+            lam_star = lambda_star(grid, oracle, effdim_fn, params)
     except (LepskiiError, np.linalg.LinAlgError) as exc:
         return _failed_rows(cfg, n, rep, exc)
+    data = sample.data
+    a_true = sample.target_coeffs
     shared_ms = (time.perf_counter() - t_start) * 1000.0
 
     rows, grid_errs_s12 = [], []
@@ -207,37 +213,11 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1, progress=None) -> li
     Replications run on `threads` (at least 1) worker threads and are collected in order;
     `progress` (a text stream) gets one line per collected replication.
     """
-    if cfg.replications < 0:
-        raise InsufficientDataError("replications must be >= 0")
-    model = cfg.model
-    effdim_fn = model_effdim_fn(model)
-    oracle = ApproxErrorOracle.from_model(model)
-
     all_rows: list[ExperimentRow] = []
     with ThreadPoolExecutor(max_workers=threads) as pool:
         for n in cfg.n_values:
-            try:
-                lam_oracle = oracle_lambda_balance(oracle, effdim_fn, model.params(n))
-                if cfg.lambda0_mode == "heuristic":
-                    fixed_grid, fixed_star = None, None
-                else:
-                    if cfg.lambda0_mode == "model":
-                        lam0 = lambda0_from_effdim(effdim_fn, n)
-                    else:
-                        lam0 = float(cfg.lambda0_mode)
-                    fixed_grid = geometric_grid(lam0, cfg.grid_q)
-                    fixed_star = lambda_star(fixed_grid, oracle, effdim_fn, model.params(n))
-            except LepskiiError as exc:
-                for rep in range(cfg.replications):
-                    all_rows.extend(_failed_rows(cfg, n, rep, exc))
-                continue
-
-            def job(rep: int) -> list[ExperimentRow]:
-                return _replication_rows(
-                    cfg, n, rep, fixed_grid, fixed_star, lam_oracle, oracle, effdim_fn
-                )
-
-            for rep, rows in enumerate(pool.map(job, range(cfg.replications))):
+            jobs = pool.map(functools.partial(_replication_rows, cfg, n), range(cfg.replications))
+            for rep, rows in enumerate(jobs):
                 all_rows.extend(rows)
                 if progress is not None:
                     print(f"n={n} replication {rep + 1}/{cfg.replications}", file=progress)

@@ -13,7 +13,7 @@ import json
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
@@ -52,25 +52,6 @@ class HolderSource:
 
 
 @dataclass(frozen=True)
-class IndexFunctionSource:
-    """Target a_i = A(t_bar_i) * h_i for an increasing index function A, A(0+) = 0."""
-
-    A: Callable[[float], float]
-    h: np.ndarray
-
-    def __post_init__(self):
-        h = np.asarray(self.h, dtype=float)
-        if np.dot(h, h) > 1.0 + 1e-12:
-            raise DomainViolationError("source coefficients h must satisfy ||h|| <= 1")
-        if not self.A(1e-12) < 1e-3:
-            raise DomainViolationError("index function must vanish at 0")
-        object.__setattr__(self, "h", h)
-
-
-SourceCondition = Union[HolderSource, IndexFunctionSource]
-
-
-@dataclass(frozen=True)
 class NoiseSpec:
     """Gaussian noise level sigma and its Bernstein constant M (= sigma for Gaussian)."""
 
@@ -86,7 +67,7 @@ class NoiseSpec:
 class SyntheticModel:
     t_bar: np.ndarray  # normalized spectrum t_i / kappa^2, nonincreasing, in (0, 1]
     kappa2: float
-    source: SourceCondition
+    source: HolderSource
     noise: NoiseSpec
 
     def __post_init__(self):
@@ -108,10 +89,7 @@ class SyntheticModel:
 
     def target_coefficients(self) -> np.ndarray:
         """Coefficients a_i of the target in the H-orthonormal eigenbasis."""
-        if isinstance(self.source, HolderSource):
-            return self.source.R * self.t_bar**self.source.r * self.source.h
-        a_vals = np.array([self.source.A(float(t)) for t in self.t_bar])
-        return a_vals * self.source.h
+        return self.source.R * self.t_bar**self.source.r * self.source.h
 
     def params(self, n: int) -> SampleErrorParams:
         return SampleErrorParams(sigma=self.noise.sigma, M_bound=self.noise.M_bound, n=n)
@@ -217,25 +195,21 @@ def true_error_norm(a_hat: np.ndarray, a: np.ndarray, t_bar: np.ndarray, s: floa
 
 @dataclass(frozen=True)
 class ApproxErrorOracle:
-    """Approximation-error bound A(.) plus the remainder constant C in d_2 = C/sqrt(n).
+    """Approximation-error bound A(lambda) = R lambda^r plus the remainder constant C in
+    d_2 = C/sqrt(n)."""
 
-    A(lambda) is R lambda^r for Holder sources and the index function itself otherwise.
-    """
-
-    A_fn: Callable[[float], float]
+    R: float
+    r: float
     d2_constant: float = 0.0
 
     @classmethod
     def from_model(cls, model: SyntheticModel) -> "ApproxErrorOracle":
-        if isinstance(model.source, HolderSource):
-            src = model.source
-            # the sqrt(n) remainder only enters for high smoothness r > 1
-            c = src.R * src.r if src.r > 1.0 else 0.0
-            return cls(A_fn=lambda lam, _r=src.r, _R=src.R: _R * lam**_r, d2_constant=c)
-        return cls(A_fn=model.source.A, d2_constant=0.0)
+        # the sqrt(n) remainder only enters for high smoothness r > 1
+        src = model.source
+        return cls(R=src.R, r=src.r, d2_constant=src.R * src.r if src.r > 1.0 else 0.0)
 
     def a_tilde(self, lam: float, n: int) -> float:
-        return float(self.A_fn(lam)) + self.d2_constant / np.sqrt(n)
+        return float(self.R * lam**self.r) + self.d2_constant / np.sqrt(n)
 
 
 def balance_crossing(a_tilde: Callable[[float], float], s_tilde: Callable[[float], float]) -> float:
@@ -298,9 +272,8 @@ def load_model_json(path: str | Path) -> SyntheticModel:
     """Model configuration document.
 
     {"spectrum": {"type": "poly", "b": 2.0, "D": 1000} | {"type": "custom", "t": [...]},
-     "source": {"type": "holder"|"index", "r": 0.5, "R": 1.0, "h": "single"|"spread"|[...]},
+     "source": {"type": "holder", "r": 0.5, "R": 1.0, "h": "single"|"spread"|[...]},
      "noise": {"sigma": 0.3, "M": 0.3}}
-    Index sources use the power family A(lambda) = R lambda^r.
     """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -328,10 +301,21 @@ def check_choice(value, allowed: tuple[str, ...], where: str) -> str:
     return value
 
 
+def integer(value, where: str) -> int:
+    """Return the JSON number `value` as an int after checking that it is integral; int()
+    would read 60.7 as 60 and true as 1."""
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    ):
+        raise TypeError(f"{where} must be an integer, got {value!r}")
+    return int(value)
+
+
 @contextmanager
 def typed_values(where: str):
     """Decorator: a wrongly typed value in the document `where` (null for a number, a
-    number for a list) is a ValueError, as every other bad value is, not a TypeError."""
+    number for a list, a fraction for a count) is a ValueError, as every other bad value
+    is, not a TypeError."""
     try:
         yield
     except TypeError as exc:
@@ -354,7 +338,7 @@ def model_from_dict(doc: dict) -> SyntheticModel:
     if check_choice(spec.get("type", "poly"), ("poly", "custom"), "spectrum.type") == "poly":
         model = polynomial_spectrum_model(
             b=float(spec.get("b", 2.0)),
-            size=int(spec.get("D", 1000)),
+            size=integer(spec.get("D", 1000), "spectrum.D"),
             r=r,
             R=R,
             sigma=sigma,
@@ -365,12 +349,6 @@ def model_from_dict(doc: dict) -> SyntheticModel:
         model = custom_spectrum_model(
             t=np.asarray(spec["t"], dtype=float), r=r, R=R, sigma=sigma, M_bound=M, h=h
         )
-    if check_choice(src.get("type", "holder"), ("holder", "index"), "source.type") == "index":
-        hv = model.source.h
-        model = SyntheticModel(
-            t_bar=model.t_bar,
-            kappa2=model.kappa2,
-            source=IndexFunctionSource(A=lambda lam, _r=r, _R=R: _R * lam**_r, h=hv),
-            noise=model.noise,
-        )
+    # checked after the spectrum, so a document with both errors reports the spectrum's
+    check_choice(src.get("type", "holder"), ("holder",), "source.type")
     return model

@@ -249,7 +249,7 @@ def test_experiment_config_rejects_unknown_keys(tmp_path, capsys, section, typo)
 @pytest.mark.parametrize(
     "section, key, value, allowed",
     [
-        ("source", "type", "indx", "holder, index"),
+        ("source", "type", "index", "holder"),
         ("spectrum", "type", "polly", "poly, custom"),
         ("balancing", "constant_mode", "theoretcal", "practical, theoretical"),
         (None, "filters", "landwber", "tikhonov, spectral_cutoff, landweber"),
@@ -274,13 +274,20 @@ def test_experiment_config_rejects_unknown_values(tmp_path, capsys, section, key
     [
         ("experiment", None, "n_values", 5),
         ("experiment", None, "replications", None),
+        ("experiment", None, "n_values", [60.7]),
+        ("experiment", None, "n_values", [True]),
+        ("experiment", None, "replications", 1.9),
+        ("experiment", None, "seed_base", 2.5),
+        ("experiment", "spectrum", "D", 50.9),
+        ("simulate", "spectrum", "D", True),
         ("experiment", "spectrum", "b", None),
         ("simulate", "spectrum", "b", None),
         ("effdim", "spectrum", "b", None),
     ],
 )
 def test_wrongly_typed_document_values_are_bad_input(tmp_path, capsys, command, section, key, value):
-    # a null number or a number in place of a list used to end in a TypeError traceback
+    # a null number or a number in place of a list used to end in a TypeError traceback, and
+    # a fractional or boolean count was truncated by int() and run
     model = json.loads(json.dumps(MODEL_DOC))
     cfg = {"model": model, "n_values": [60], "replications": 1}
     {None: cfg, **model}[section][key] = value
@@ -292,6 +299,15 @@ def test_wrongly_typed_document_values_are_bad_input(tmp_path, capsys, command, 
     err = capsys.readouterr().err
     assert code == 1 and err.startswith("error: bad input document or value: wrongly typed value")
     assert len(err.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_negative_replications_leave_no_output_directory(tmp_path, capsys):
+    # the output directory used to be created before the count was checked
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"model": MODEL_DOC, "n_values": [60], "replications": -1}), encoding="utf-8")
+    code = dispatch(["experiment", "--config", str(path), "--out-dir", str(tmp_path / "out")])
+    assert code == 1 and "replications must be >= 0" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -15,7 +15,6 @@ from lepskii.kernels import cross_gram, feature_matrix, kappa_squared
 from lepskii.synthetic import (
     ApproxErrorOracle,
     HolderSource,
-    IndexFunctionSource,
     SyntheticModel,
     balance_crossing,
     custom_spectrum_model,
@@ -139,18 +138,16 @@ def test_s_half_norm_matches_l2_quadrature():
 
 def test_approx_error_forms():
     model = polynomial_spectrum_model(b=2.0, size=10, r=0.5, R=1.0)
-    A = ApproxErrorOracle.from_model(model).A_fn
-    assert A(0.25) == pytest.approx(0.5)
-    idx = SyntheticModel(
-        t_bar=model.t_bar,
-        kappa2=model.kappa2,
-        source=IndexFunctionSource(A=lambda lam: lam, h=source_coefficients("single", 10)),
-        noise=model.noise,
-    )
-    assert ApproxErrorOracle.from_model(idx).A_fn(0.3) == pytest.approx(0.3)
+    oracle = ApproxErrorOracle.from_model(model)
+    assert oracle.d2_constant == 0.0  # r <= 1: no sqrt(n) remainder
+    assert oracle.a_tilde(0.25, 16) == pytest.approx(0.5)
     lams = np.geomspace(1e-6, 1.0, 30)
-    vals = [A(float(l)) for l in lams]
+    vals = [oracle.a_tilde(float(l), 16) for l in lams]
     assert all(a < b for a, b in zip(vals, vals[1:]))
+    # r > 1: the remainder d2 = R r / sqrt(n) enters
+    high = ApproxErrorOracle.from_model(polynomial_spectrum_model(b=2.0, size=10, r=1.5, R=2.0))
+    assert high.d2_constant == 3.0
+    assert high.a_tilde(0.25, 16) == pytest.approx(2.0 * 0.25**1.5 + 3.0 / 4.0)
 
 
 def test_oracle_lambda_regular_values():
@@ -194,7 +191,7 @@ def test_rate_exponent_values():
 
 
 def _linear_oracle():
-    return ApproxErrorOracle(A_fn=lambda lam: lam, d2_constant=0.0)
+    return ApproxErrorOracle(R=1.0, r=1.0)
 
 
 def test_lambda_star_direct():
@@ -236,7 +233,7 @@ def test_remainder_subordination():
         # M = 0 leaves the leading sample-error term
         params = SampleErrorParams(sigma=model.noise.sigma, M_bound=0.0, n=n)
         s_lead = sample_error(params, effdim_clamped(effdim_fn(lam_n)), lam_n)
-        a_lead = oracle.A_fn(lam_n)
+        a_lead = oracle.R * lam_n**oracle.r
         d = model.noise.M_bound / (n * lam_n) + oracle.d2_constant / np.sqrt(n)
         ratios.append(d / (a_lead + s_lead))
     assert all(a > b for a, b in zip(ratios, ratios[1:]))
@@ -274,12 +271,12 @@ def test_model_from_dict_roundtrip():
     custom = model_from_dict(
         {
             "spectrum": {"type": "custom", "t": [1.0, 0.25, 0.0625]},
-            "source": {"type": "index", "r": 1.0, "R": 2.0},
+            "source": {"r": 1.0, "R": 2.0},
             "noise": {"sigma": 0.1},
         }
     )
-    assert isinstance(custom.source, IndexFunctionSource)
-    assert ApproxErrorOracle.from_model(custom).A_fn(0.5) == pytest.approx(1.0)
+    assert isinstance(custom.source, HolderSource)
+    assert ApproxErrorOracle.from_model(custom).a_tilde(0.5, 1) == pytest.approx(1.0)
 
 
 def test_custom_spectrum_model_kappa_consistency():
