@@ -11,11 +11,12 @@ one thread. They cover `simulate`, `effdim` on the dense and the factor route, `
 `fit` with a Gaussian kernel (dense route) and with a polynomial kernel (Cholesky factor
 route), `balance` with a Gaussian kernel (practical constant at factors 20 and 2; at 2 the
 selector rejects part of the grid) and with a polynomial kernel (theoretical constant,
-s = 0), three D = 100 `experiment` runs (lambda0 from the model; heuristic lambda0 with the
-spectral cut-off filter and smoothness r = 1.5; a pinned lambda0 whose grid misses the
-crossing at one n, so some rows are failure-tagged), and `rate` on the first run's
-results. The script prints one `sha256  file` line per output file. With `--against` it runs the same calls
-on the other tree, prints `same` or `DIFFERS` per file, and exits 1 when any file differs.
+s = 0), four D = 100 `experiment` runs (lambda0 from the model; the same with all three
+filters, whose hold-out fits are predicted in one call; heuristic lambda0 with the spectral
+cut-off filter and smoothness r = 1.5; a pinned lambda0 whose grid misses the crossing at
+one n, so some rows are failure-tagged), and `rate` on the first run's results. The script
+prints one `sha256  file` line per output file. With `--against` it runs the same calls on
+the other tree, prints `same` or `DIFFERS` per file, and exits 1 when any file differs.
 """
 
 from __future__ import annotations
@@ -52,6 +53,8 @@ EXPERIMENT = {
     "lambda0_mode": "model",
     "holdout_fraction": 0.5,
 }
+# every filter in one replication: one hold-out decomposition and one predict for all three
+ALL_FILTERS_EXPERIMENT = {**EXPERIMENT, "filters": ["tikhonov", "landweber", "spectral_cutoff"]}
 # the grid from the data's own eigenvalues, with the r > 1 remainder in the truth
 HEURISTIC_EXPERIMENT = {
     **EXPERIMENT,
@@ -62,7 +65,8 @@ HEURISTIC_EXPERIMENT = {
 # lambda0 = 0.1 brackets the crossing at n = 64 but not at n = 256 (EmptyJError rows)
 PINNED_EXPERIMENT = {**EXPERIMENT, "n_values": [64, 256], "replications": 2, "lambda0_mode": 0.1}
 INPUTS = {"model.json": SMALL_MODEL, "experiment.json": EXPERIMENT,
-          "heuristic.json": HEURISTIC_EXPERIMENT, "pinned.json": PINNED_EXPERIMENT}
+          "all_filters.json": ALL_FILTERS_EXPERIMENT, "heuristic.json": HEURISTIC_EXPERIMENT,
+          "pinned.json": PINNED_EXPERIMENT}
 
 # (argv, output files), run in order inside the work directory
 CALLS = (
@@ -86,6 +90,8 @@ CALLS = (
       "--out", "balance_poly.json"], ["balance_poly.json"]),
     (["experiment", "--config", "experiment.json", "--out-dir", "experiment"],
      ["experiment/results.csv", "experiment/summary.json"]),
+    (["experiment", "--config", "all_filters.json", "--out-dir", "all_filters"],
+     ["all_filters/results.csv", "all_filters/summary.json"]),
     (["experiment", "--config", "heuristic.json", "--out-dir", "heuristic"],
      ["heuristic/results.csv", "heuristic/summary.json"]),
     (["experiment", "--config", "pinned.json", "--out-dir", "pinned"],

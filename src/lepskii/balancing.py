@@ -47,6 +47,8 @@ class BalancingConfig:
             raise DomainViolationError(f"s must lie in [0, 1/2], got {self.s}")
         if not (0.0 < self.eta < 1.0):
             raise DomainViolationError(f"eta must lie in (0, 1), got {self.eta}")
+        if not np.all(np.isfinite([self.sigma, self.M_bound, self.bal_factor])):
+            raise DomainViolationError("sigma, M and bal_factor must be finite")
         if self.sigma < 0 or self.M_bound < 0 or self.bal_factor <= 0:
             raise DomainViolationError("sigma, M >= 0 and bal_factor > 0 required")
 

@@ -41,6 +41,7 @@ from .synthetic import (
     load_model_json,
     model_effdim_fn,
     model_from_dict,
+    real,
     reject_unknown_keys,
     typed_values,
 )
@@ -203,34 +204,33 @@ def _experiment_config(doc: dict) -> ExperimentConfig:
         "balancing",
     )
     cfg_bal = BalancingConfig(
-        eta=float(bal.get("eta", 0.1)),
-        sigma=float(bal.get("sigma", model.noise.sigma)),
-        M_bound=float(bal.get("M", model.noise.M_bound)),
+        eta=real(bal.get("eta", 0.1), "balancing.eta"),
+        sigma=real(bal.get("sigma", model.noise.sigma), "balancing.sigma"),
+        M_bound=real(bal.get("M", model.noise.M_bound), "balancing.M"),
         use_theoretical_constant=check_choice(
             bal.get("constant_mode", "practical"), ("practical", "theoretical"), "balancing.constant_mode"
         ) == "theoretical",
-        bal_factor=float(bal.get("bal_factor", 20.0)),
+        bal_factor=real(bal.get("bal_factor", 20.0), "balancing.bal_factor"),
     )
     mode = doc.get("lambda0_mode", "model")
-    if mode not in ("model", "heuristic"):
-        try:
-            mode = float(mode)
-        except (TypeError, ValueError):
-            raise ValueError(
-                f"unknown value {mode!r} for lambda0_mode (allowed: model, heuristic or a number)"
-            ) from None
+    if not isinstance(mode, str):
+        mode = real(mode, "lambda0_mode")
+    elif mode not in ("model", "heuristic"):
+        raise ValueError(
+            f"unknown value {mode!r} for lambda0_mode (allowed: model, heuristic or a number)"
+        )
     return ExperimentConfig(
         model=model,
         n_values=tuple(integer(v, "n_values") for v in doc["n_values"]),
         replications=integer(doc["replications"], "replications"),
         seed_base=integer(doc.get("seed_base", 0), "seed_base"),
-        grid_q=float(doc.get("grid_q", 2.0)),
+        grid_q=real(doc.get("grid_q", 2.0), "grid_q"),
         balancing=cfg_bal,
         filters=tuple(
             FILTERS[check_choice(v, tuple(FILTERS), "filters")] for v in doc.get("filters", ["tikhonov"])
         ),
         lambda0_mode=mode,
-        holdout_fraction=float(doc.get("holdout_fraction", 0.5)),
+        holdout_fraction=real(doc.get("holdout_fraction", 0.5), "holdout_fraction"),
         outputs=reject_unknown_keys(doc.get("outputs", {}), ("results", "summary"), "outputs"),
     )
 

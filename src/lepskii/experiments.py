@@ -91,10 +91,11 @@ def holdout_select(
     split_fraction: float,
     grid: Grid,
     k: KernelSpec,
-    m: FilterMethod,
-) -> int:
-    """Grid position of the lambda minimizing validation MSE on a deterministic
-    head/tail split; ties break toward larger lambda."""
+    filters: Sequence[FilterMethod],
+) -> list[int]:
+    """Grid position, per filter, of the lambda minimizing validation MSE on a
+    deterministic head/tail split; ties break toward larger lambda. The training part
+    is decomposed once, and all filters' fits are predicted in one call."""
     if not (0.0 < split_fraction < 1.0):
         raise DegenerateSplitError(f"split fraction must lie in (0, 1), got {split_fraction}")
     n_train = int(np.ceil(split_fraction * data.n))
@@ -103,30 +104,27 @@ def holdout_select(
     xs_tr, ys_tr = data.xs[:n_train], data.ys[:n_train]
     xs_va, ys_va = data.xs[n_train:], data.ys[n_train:]
     dec = gram_decomposition(k, xs_tr)
-    fits = fit_from_decomposition(dec, ys_tr, m, grid.lambdas)
+    fits = np.hstack([fit_from_decomposition(dec, ys_tr, m, grid.lambdas) for m in filters])
     del dec  # release the decomposition's n_train-row factor before predict builds its matrices
     mse = np.mean((ys_va[:, None] - predict(fits, k, xs_tr, xs_va)) ** 2, axis=0)
-    # last index of the minimum, so the larger lambda wins ties
-    return int(np.flatnonzero(mse == mse.min())[-1])
+    # last index of each filter's minimum, so the larger lambda wins ties
+    return [int(np.flatnonzero(e == e.min())[-1]) for e in mse.reshape(len(filters), grid.size)]
 
 
 def _replication_rows(cfg: ExperimentConfig, n: int, rep: int) -> list[ExperimentRow]:
     model = cfg.model
     kernel = model.kernel()
     try:
-        # The truth at n comes before the draw, so a failing n tags every replication
-        # with the same error and never reaches generate.
+        # The truth at n and a model or pinned grid come before the draw: an n they fail at
+        # tags every replication alike and never reaches generate. Built after the decomposition,
+        # the grid's temporaries raised mc-regular's peak RSS from 155 to 179 MB in some runs.
         effdim_fn = model_effdim_fn(model)
         oracle = ApproxErrorOracle.from_model(model)
         params = model.params(n)
         lam_oracle = oracle_lambda_balance(oracle, effdim_fn, params)
-        grid = None
         if cfg.lambda0_mode != "heuristic":
-            lam0 = (
-                lambda0_from_effdim(effdim_fn, n)
-                if cfg.lambda0_mode == "model"
-                else float(cfg.lambda0_mode)
-            )
+            model_lam0 = cfg.lambda0_mode == "model"
+            lam0 = lambda0_from_effdim(effdim_fn, n) if model_lam0 else float(cfg.lambda0_mode)
             grid = geometric_grid(lam0, cfg.grid_q)
             lam_star = lambda_star(grid, oracle, effdim_fn, params)
         sample = generate(model, n, cfg.seed_base + rep)
@@ -135,69 +133,68 @@ def _replication_rows(cfg: ExperimentConfig, n: int, rep: int) -> list[Experimen
         # against references recorded with the explicit eigenvectors phi @ w, and fitting
         # through the factored form sums in another order, which moves them by up to 1e-11.
         dec = gram_decomposition(kernel, sample.data.xs, sample.features).lifted()
-        if grid is None:
+        if cfg.lambda0_mode == "heuristic":
             grid = geometric_grid(heuristic_lambda0(dec.eigenvalues, cfg.grid_q), cfg.grid_q)
             lam_star = lambda_star(grid, oracle, effdim_fn, params)
     except (LepskiiError, np.linalg.LinAlgError) as exc:
         return _failed_rows(cfg, n, rep, exc)
     data = sample.data
-    a_true = sample.target_coeffs
     shared_ms = (time.perf_counter() - t_start) * 1000.0
 
-    rows, grid_errs_s12 = [], []
+    # Per filter, its failure tag, or balancing's grid positions at s = 1/2 and s = 0 and the
+    # errors at s = 0 and s = 1/2 at each grid lambda, then lambda_oracle. Rows come last.
+    outcomes, wall_ms = [], []
     for filt in cfg.filters:
-        row = ExperimentRow(n=n, replication=rep, filter=filt.variant)
         t_f = time.perf_counter()
-        errs_s12 = None
         try:
             # one coefficient column per grid lambda, in grid order, then lambda_oracle's
             fits = fit_from_decomposition(dec, data.ys, filt, np.append(grid.lambdas, lam_oracle))
             # one-for-all: the L2 (s = 1/2) choice is used in every norm; s = 0 is its comparison
-            diag_half, diag_zero = (
-                balancing_select(fits[:, :-1], grid, dec, dataclasses.replace(cfg.balancing, s=s))
+            at_half, at_zero = (
+                balancing_select(fits[:, :-1], grid, dec, dataclasses.replace(cfg.balancing, s=s)).index
                 for s in (0.5, 0.0)
             )
-
             a_hats = estimator_basis_coefficients(fits, sample.features)
-            errs_s0 = [true_error_norm(a, a_true, model.t_bar, 0.0) for a in a_hats[:, :-1].T]
-            errs_s12 = [true_error_norm(a, a_true, model.t_bar, 0.5) for a in a_hats[:, :-1].T]
-            err_oracle = true_error_norm(a_hats[:, -1], a_true, model.t_bar, 0.5)
-
-            row.lambda_hat_half = diag_half.lambda_hat
-            row.lambda_hat_zero = diag_zero.lambda_hat
-            row.lambda_star = lam_star
-            row.lambda_oracle = lam_oracle
-            row.err_s0_at_hat = errs_s0[diag_zero.index]
-            row.err_s12_at_hat = errs_s12[diag_half.index]
-            row.err_min_over_grid_s0 = min(errs_s0)
-            row.err_min_over_grid_s12 = min(errs_s12)
-            row.err_at_oracle = err_oracle
-            row.err_s0_at_hat_half = errs_s0[diag_half.index]
+            errs_s0, errs_s12 = (
+                true_error_norm(a_hats, sample.target_coeffs, model.t_bar, s) for s in (0.0, 0.5)
+            )
+            outcomes.append((at_half, at_zero, errs_s0, errs_s12))
         except (LepskiiError, np.linalg.LinAlgError) as exc:
-            row.error = f"{type(exc).__name__}: {exc}"
-        row.wall_time_ms = shared_ms + (time.perf_counter() - t_f) * 1000.0
+            outcomes.append(f"{type(exc).__name__}: {exc}")
+        wall_ms.append(shared_ms + (time.perf_counter() - t_f) * 1000.0)
         shared_ms = 0.0  # decomposition cost attributed to the first filter only
-        rows.append(row)
-        grid_errs_s12.append(errs_s12)
 
     # The hold-out factors its own half of the points. Release the n-row Phi and
     # eigenvectors first: held through the hold-out, they raise the peak memory.
     del sample, dec
-    for i, (filt, errs_s12) in enumerate(zip(cfg.filters, grid_errs_s12)):
-        if rows[i].error:
-            continue
+    fitted = [i for i, out in enumerate(outcomes) if not isinstance(out, str)]
+    if fitted:
         t_h = time.perf_counter()
         try:
-            at = holdout_select(data, cfg.holdout_fraction, grid, kernel, filt)
-            rows[i].holdout_lambda = float(grid.lambdas[at])
-            rows[i].err_at_holdout = errs_s12[at]
+            filters = [cfg.filters[i] for i in fitted]
+            for i, at in zip(fitted, holdout_select(data, cfg.holdout_fraction, grid, kernel, filters)):
+                outcomes[i] += (at,)
         except (LepskiiError, np.linalg.LinAlgError) as exc:
-            # a failed row carries no values, whichever stage failed
-            rows[i] = ExperimentRow(
-                n=n, replication=rep, filter=filt.variant, wall_time_ms=rows[i].wall_time_ms,
-                error=f"{type(exc).__name__}: {exc}",
-            )
-        rows[i].wall_time_ms += (time.perf_counter() - t_h) * 1000.0
+            for i in fitted:
+                outcomes[i] = f"{type(exc).__name__}: {exc}"
+        wall_ms[fitted[0]] += (time.perf_counter() - t_h) * 1000.0
+
+    rows = []
+    for filt, out, ms in zip(cfg.filters, outcomes, wall_ms):
+        row = ExperimentRow(n=n, replication=rep, filter=filt.variant, wall_time_ms=ms)
+        if isinstance(out, str):  # a failed row carries no values, whichever stage failed
+            row.error = out
+        else:
+            half, zero, e0, e12, held = out  # grid positions by s = 1/2, s = 0 and hold-out
+            lams = grid.lambdas
+            row.lambda_hat_half, row.lambda_hat_zero, row.holdout_lambda = lams[[half, zero, held]].tolist()
+            row.lambda_star, row.lambda_oracle = lam_star, lam_oracle
+            row.err_s12_at_hat, row.err_at_holdout = e12[[half, held]].tolist()
+            row.err_s0_at_hat, row.err_s0_at_hat_half = e0[[zero, half]].tolist()
+            row.err_min_over_grid_s0 = float(e0[:-1].min())
+            row.err_min_over_grid_s12 = float(e12[:-1].min())
+            row.err_at_oracle = float(e12[-1])
+        rows.append(row)
     return rows
 
 

@@ -179,18 +179,21 @@ def estimator_basis_coefficients(c: np.ndarray, features: np.ndarray) -> np.ndar
     return features.T @ c
 
 
-def true_error_norm(a_hat: np.ndarray, a: np.ndarray, t_bar: np.ndarray, s: float) -> float:
+def true_error_norm(a_hat: np.ndarray, a: np.ndarray, t_bar: np.ndarray, s: float):
     """Interpolation-norm error sqrt(sum t_bar^{2s} (a_hat - a)^2); s=0 is the
-    RKHS norm, s=1/2 the L2 norm divided by kappa."""
+    RKHS norm, s=1/2 the L2 norm divided by kappa. A D x k matrix a_hat (one
+    estimator per column) gives an array of k errors, each equal to its column's call."""
     a_hat = np.asarray(a_hat, dtype=float)
     a = np.asarray(a, dtype=float)
     t_bar = np.asarray(t_bar, dtype=float)
-    if a_hat.shape != a.shape or a.shape != t_bar.shape:
+    if a_hat.ndim > 2 or a_hat.shape[:1] != a.shape or a.shape != t_bar.shape:
         raise DimensionMismatchError("coefficient and spectrum lengths must agree")
     if not (0.0 <= s <= 0.5):
         raise DomainViolationError(f"s must lie in [0, 1/2], got {s}")
-    d = a_hat - a
-    return float(np.sqrt(np.sum(t_bar ** (2.0 * s) * d * d)))
+    # each estimator as a contiguous row, summed in the order of a one-vector call
+    d = np.ascontiguousarray(a_hat.T) - a
+    err = np.sqrt(np.sum(t_bar ** (2.0 * s) * d * d, axis=-1))
+    return float(err) if a_hat.ndim == 1 else err
 
 
 @dataclass(frozen=True)
@@ -311,6 +314,14 @@ def integer(value, where: str) -> int:
     return int(value)
 
 
+def real(value, where: str) -> float:
+    """Return the JSON number `value` as a float after checking that it is finite; float()
+    would read true as 1.0, and Python's json reads NaN and Infinity."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not np.isfinite(value):
+        raise TypeError(f"{where} must be a finite number, got {value!r}")
+    return float(value)
+
+
 @contextmanager
 def typed_values(where: str):
     """Decorator: a wrongly typed value in the document `where` (null for a number, a
@@ -328,16 +339,16 @@ def model_from_dict(doc: dict) -> SyntheticModel:
     spec = reject_unknown_keys(doc.get("spectrum", {}), ("type", "b", "D", "t"), "spectrum")
     src = reject_unknown_keys(doc.get("source", {}), ("type", "r", "R", "h"), "source")
     noise = reject_unknown_keys(doc.get("noise", {}), ("sigma", "M"), "noise")
-    r = float(src.get("r", 0.5))
-    R = float(src.get("R", 1.0))
+    r = real(src.get("r", 0.5), "source.r")
+    R = real(src.get("R", 1.0), "source.R")
     h = src.get("h", "single")
     if not isinstance(h, str):
-        h = np.asarray(h, dtype=float)
-    sigma = float(noise.get("sigma", 0.3))
-    M = float(noise.get("M", sigma))
+        h = np.array([real(v, "source.h") for v in h])
+    sigma = real(noise.get("sigma", 0.3), "noise.sigma")
+    M = real(noise.get("M", sigma), "noise.M")
     if check_choice(spec.get("type", "poly"), ("poly", "custom"), "spectrum.type") == "poly":
         model = polynomial_spectrum_model(
-            b=float(spec.get("b", 2.0)),
+            b=real(spec.get("b", 2.0), "spectrum.b"),
             size=integer(spec.get("D", 1000), "spectrum.D"),
             r=r,
             R=R,
@@ -346,9 +357,8 @@ def model_from_dict(doc: dict) -> SyntheticModel:
             h=h,
         )
     else:
-        model = custom_spectrum_model(
-            t=np.asarray(spec["t"], dtype=float), r=r, R=R, sigma=sigma, M_bound=M, h=h
-        )
+        t = np.array([real(v, "spectrum.t") for v in spec["t"]])
+        model = custom_spectrum_model(t=t, r=r, R=R, sigma=sigma, M_bound=M, h=h)
     # checked after the spectrum, so a document with both errors reports the spectrum's
     check_choice(src.get("type", "holder"), ("holder",), "source.type")
     return model

@@ -194,6 +194,10 @@ def test_config_validation():
         BalancingConfig(eta=0.0)
     with pytest.raises(DomainViolationError):
         BalancingConfig(bal_factor=0.0)
+    for field in ("sigma", "M_bound", "bal_factor"):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(DomainViolationError):
+                BalancingConfig(**{field: bad})
 
 
 def test_theoretical_constant_multiplier():

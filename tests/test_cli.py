@@ -188,6 +188,17 @@ def test_balance_cli_matches_library(tmp_path, model_file):
     assert list(doc["pairwise_norms"]) == [f"{lams[i]},{lams[j]}" for i in range(grid.size) for j in range(i)]
 
 
+@pytest.mark.parametrize("factor", ["nan", "inf"])
+def test_balance_rejects_a_non_finite_bal_factor(tmp_path, capsys, model_file, factor):
+    # it used to exit 0 with NaN thresholds and lambda-hat = 1, printed as invalid JSON
+    data_path = tmp_path / "d.csv"
+    dispatch(["simulate", "--model", model_file, "--n", "40", "--seed", "2", "--out", str(data_path)])
+    argv = ["balance", "--data", str(data_path), "--kernel", "gaussian:0.2", "--sigma", "0.3"]
+    assert dispatch([*argv, "--bal-factor", factor, "--out", str(tmp_path / "bal.json")]) == 1
+    assert "must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "bal.json").exists()
+
+
 def test_experiment_command_roundtrip_and_determinism(tmp_path, model_file):
     cfg = {
         "model": MODEL_DOC,
@@ -283,14 +294,23 @@ def test_experiment_config_rejects_unknown_values(tmp_path, capsys, section, key
         ("experiment", "spectrum", "b", None),
         ("simulate", "spectrum", "b", None),
         ("effdim", "spectrum", "b", None),
+        ("experiment", "balancing", "bal_factor", True),
+        ("experiment", None, "grid_q", True),
+        ("experiment", None, "lambda0_mode", True),
+        ("experiment", None, "holdout_fraction", True),
+        ("experiment", "balancing", "bal_factor", float("inf")),
+        ("experiment", "noise", "sigma", float("nan")),
+        ("simulate", "source", "r", True),
+        ("simulate", "source", "h", [0.5, float("nan")]),
     ],
 )
 def test_wrongly_typed_document_values_are_bad_input(tmp_path, capsys, command, section, key, value):
-    # a null number or a number in place of a list used to end in a TypeError traceback, and
-    # a fractional or boolean count was truncated by int() and run
+    # a null number or a number in place of a list used to end in a TypeError traceback, a
+    # fractional or boolean count was truncated by int() and run, and a boolean, NaN or
+    # Infinity (which Python's json reads) was taken by float() and run
     model = json.loads(json.dumps(MODEL_DOC))
-    cfg = {"model": model, "n_values": [60], "replications": 1}
-    {None: cfg, **model}[section][key] = value
+    cfg = {"model": model, "n_values": [60], "replications": 1, "balancing": {}}
+    {None: cfg, "balancing": cfg["balancing"], **model}[section][key] = value
     doc, argv = (cfg, ["--config"]) if command == "experiment" else (model, ["--n", "30", "--model"])
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc), encoding="utf-8")

@@ -7,7 +7,7 @@ from _oracles import bernstein_bound, holdout_tikhonov_lambda
 from lepskii.balancing import BalancingConfig
 from lepskii.effdim import empirical_effdim, model_effdim, two_sided_check
 from lepskii.errors import DegenerateSplitError, InsufficientDataError, InvalidEtaError, LepskiiError
-from lepskii.estimators import LANDWEBER, TIKHONOV, fit_from_decomposition, predict
+from lepskii.estimators import LANDWEBER, SPECTRAL_CUTOFF, TIKHONOV, fit_from_decomposition, predict
 from lepskii.experiments import (
     ExperimentConfig,
     ExperimentRow,
@@ -37,7 +37,7 @@ def test_holdout_brute_force_agreement():
     for seed in range(10):
         model, sample = _holdout_instance(seed)
         kernel = model.kernel()
-        at = holdout_select(sample.data, 0.5, grid, kernel, TIKHONOV)
+        (at,) = holdout_select(sample.data, 0.5, grid, kernel, (TIKHONOV,))
         # independent exhaustive evaluation
         n_tr = int(np.ceil(0.5 * sample.data.n))
         xs_tr, ys_tr = sample.data.xs[:n_tr], sample.data.ys[:n_tr]
@@ -57,10 +57,21 @@ def test_holdout_matches_direct_tikhonov_solves_on_the_factor_route():
     for seed in range(10):
         model, sample = _holdout_instance(seed, n=80)  # 40 training points > D = 20
         kernel = model.kernel()
-        at = holdout_select(sample.data, 0.5, grid, kernel, TIKHONOV)
+        (at,) = holdout_select(sample.data, 0.5, grid, kernel, (TIKHONOV,))
         assert grid.lambdas[at] == holdout_tikhonov_lambda(
             kernel.eigenvalues, kappa_squared(kernel), sample.data.xs, sample.data.ys, grid.lambdas
         )
+
+
+@pytest.mark.parametrize("n", [40, 80])  # 20 training points = D: dense route; 40: factor route
+def test_holdout_over_several_filters_matches_one_filter_calls(n):
+    grid = geometric_grid(0.02, 2.0)
+    filters = (TIKHONOV, LANDWEBER, SPECTRAL_CUTOFF)
+    for seed in range(5):
+        model, sample = _holdout_instance(seed, n=n)
+        together = holdout_select(sample.data, 0.5, grid, model.kernel(), filters)
+        alone = [holdout_select(sample.data, 0.5, grid, model.kernel(), (m,))[0] for m in filters]
+        assert together == alone
 
 
 def test_holdout_tie_breaks_toward_larger_lambda():
@@ -68,7 +79,7 @@ def test_holdout_tie_breaks_toward_larger_lambda():
     data = Dataset(xs=np.linspace(0.05, 0.95, 10), ys=np.zeros(10))
     model = polynomial_spectrum_model(b=2.0, size=5)
     grid = geometric_grid(0.1, 2.0)
-    assert holdout_select(data, 0.5, grid, model.kernel(), TIKHONOV) == grid.size - 1
+    assert holdout_select(data, 0.5, grid, model.kernel(), (TIKHONOV,)) == [grid.size - 1]
 
 
 def test_holdout_degenerate_split():
@@ -76,9 +87,9 @@ def test_holdout_degenerate_split():
     model = polynomial_spectrum_model(b=2.0, size=5)
     grid = geometric_grid(0.5, 2.0)
     with pytest.raises(DegenerateSplitError):
-        holdout_select(data, 0.99, grid, model.kernel(), TIKHONOV)  # empty validation part
+        holdout_select(data, 0.99, grid, model.kernel(), (TIKHONOV,))  # empty validation part
     with pytest.raises(DegenerateSplitError):
-        holdout_select(data, 1.0, grid, model.kernel(), TIKHONOV)
+        holdout_select(data, 1.0, grid, model.kernel(), (TIKHONOV,))
 
 
 def test_loglog_fit_exact_power_law():
@@ -295,12 +306,16 @@ def test_replication_feature_matrix_builds_do_not_grow_with_the_grid(monkeypatch
         monkeypatch.setattr(module, "feature_matrix", counted)
     model = polynomial_spectrum_model(b=2.0, size=20, sigma=0.3)
     builds = {}
-    for lam0 in (0.1, 0.001):
+    one, three = (TIKHONOV,), (TIKHONOV, LANDWEBER, SPECTRAL_CUTOFF)
+    for lam0, filters in ((0.1, one), (0.001, one), (0.1, three)):
         row_counts.clear()
-        (row,) = run_experiment(_tiny_config(model=model, n_values=(60,), replications=1, lambda0_mode=lam0))
-        assert row.error == ""
-        builds[geometric_grid(lam0, 2.0).size] = list(row_counts)
-    assert builds == {5: [60, 30, 30, 30], 11: [60, 30, 30, 30]}
+        rows = run_experiment(
+            _tiny_config(model=model, n_values=(60,), replications=1, lambda0_mode=lam0, filters=filters)
+        )
+        assert [row.error for row in rows] == [""] * len(filters)
+        builds[geometric_grid(lam0, 2.0).size, len(filters)] = list(row_counts)
+    # the hold-out decomposes its half once and predicts every filter's fits in one call
+    assert builds == {(5, 1): [60, 30, 30, 30], (11, 1): [60, 30, 30, 30], (5, 3): [60, 30, 30, 30]}
 
 
 def test_run_experiment_multiple_filters():

@@ -433,6 +433,6 @@ def test_gram_decomposition_carries_its_scale(monkeypatch):
         return seen[-1]
 
     monkeypatch.setattr(experiments, "gram_decomposition", recording)
-    experiments.holdout_select(Dataset(xs, ys), 0.5, geometric_grid(0.05, 2.0), explicit, TIKHONOV)
+    experiments.holdout_select(Dataset(xs, ys), 0.5, geometric_grid(0.05, 2.0), explicit, (TIKHONOV,))
     assert [dec.dim for dec in seen] == [9]
     assert seen[0].kscale == 9 * kappa_squared(explicit)

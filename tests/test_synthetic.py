@@ -94,6 +94,19 @@ def test_true_error_norm_cases():
         true_error_norm(np.array([1.0, 2.0]), np.array([1.0]), t_bar, 0.0)
 
 
+def test_true_error_norm_of_a_matrix_matches_its_column_calls():
+    model = polynomial_spectrum_model(b=2.0, size=25, sigma=0.2, h="spread")
+    sample = generate(model, 60, seed=4)
+    cmat = np.column_stack([fit(sample.data, model.kernel(), TIKHONOV, lam) for lam in (0.02, 0.2, 1.0)])
+    a_hats = estimator_basis_coefficients(cmat, sample.features)
+    a = sample.target_coeffs
+    for s in (0.0, 0.25, 0.5):
+        columns = [true_error_norm(a_hats[:, j], a, model.t_bar, s) for j in range(3)]
+        assert np.array_equal(true_error_norm(a_hats, a, model.t_bar, s), columns)
+    with pytest.raises(DimensionMismatchError):
+        true_error_norm(a_hats[:-1], a, model.t_bar, 0.5)
+
+
 def test_estimator_expansion_gram_identity():
     # || f_hat - f ||_H^2 = c^T K c - 2 c^T f(xs) + ||f||_H^2 via the reproducing property
     for seed in range(5):
