@@ -10,8 +10,9 @@ interpreter that imports the library from the given `src/` directory, with BLAS 
 one thread. They cover `simulate`, `effdim` on the dense and the factor route, `grid`,
 `fit` with a Gaussian kernel (dense route) and with a polynomial kernel (Cholesky factor
 route), `balance` with a Gaussian kernel (practical constant at factors 20 and 2; at 2 the
-selector rejects part of the grid) and with a polynomial kernel (theoretical constant,
-s = 0), four D = 100 `experiment` runs (lambda0 from the model; the same with all three
+selector rejects part of the grid; and at factor 2 with s = 1/4, where lambda^s is neither
+1 nor a square root) and with a polynomial kernel (theoretical constant, s = 0), four
+D = 100 `experiment` runs (lambda0 from the model; the same with all three
 filters, whose hold-out fits are predicted in one call; heuristic lambda0 with the spectral
 cut-off filter and smoothness r = 1.5; a pinned lambda0 whose grid misses the crossing at
 one n, so some rows are failure-tagged), and `rate` on the first run's results. The script
@@ -85,6 +86,8 @@ CALLS = (
       "--M", "0.3", "--out", "balance_gaussian.json"], ["balance_gaussian.json"]),
     (["balance", "--data", "data.csv", "--kernel", "gaussian:0.2", "--sigma", "0.3",
       "--bal-factor", "2", "--out", "balance_responsive.json"], ["balance_responsive.json"]),
+    (["balance", "--data", "data.csv", "--kernel", "gaussian:0.2", "--sigma", "0.3", "--s", "0.25",
+      "--bal-factor", "2", "--out", "balance_quarter.json"], ["balance_quarter.json"]),
     (["balance", "--data", "data.csv", "--kernel", "poly:3:1", "--sigma", "0.3", "--s", "0",
       "--lambda0", "0.01", "--constant-mode", "theoretical", "--bal-factor", "0.5",
       "--out", "balance_poly.json"], ["balance_poly.json"]),

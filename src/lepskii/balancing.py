@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .effdim import SampleErrorParams, effdim_clamped, empirical_effdim, sample_error
+from .effdim import SampleErrorParams, Values, effdim_clamped, empirical_effdim, sample_error
 from .errors import DegenerateFitError, DomainViolationError, IncompleteFamilyError
 from .estimators import FilterMethod, TIKHONOV, fit_from_decomposition, fitted_values
 from .grid import Grid
@@ -73,18 +73,10 @@ class BalancingDiagnostics:
     pairwise_norms: np.ndarray
 
 
-def empirical_sample_error(eigenvalues: np.ndarray, cfg: BalancingConfig, lam: float) -> float:
+def empirical_sample_error(eigenvalues: np.ndarray, cfg: BalancingConfig, lam: Values) -> Values:
     """S_x(n, lambda) + M/(n lambda) from the empirical Gram spectrum, n = len(eigenvalues)."""
     params = SampleErrorParams(sigma=cfg.sigma, M_bound=cfg.M_bound, n=len(eigenvalues))
     return sample_error(params, effdim_clamped(empirical_effdim(eigenvalues, lam)), lam)
-
-
-def _norm_weights(dec: SpectralDecomposition, lambdas: Sequence[float], s: float) -> np.ndarray:
-    """One row kscale mu (mu + lambda')^{2s} per lambda', so that the weighted sum of
-    e^2, with e = dec.project(c - c') of the coefficients, is ||(G + lambda')^s (f - f')||_H^2."""
-    # null-space modes carry zero K-weight, so truncated coordinates are exact
-    mu = dec.eigenvalues[: dec.rank]
-    return np.array([dec.kscale * mu * (mu + lam) ** (2.0 * s) for lam in lambdas])
 
 
 def balancing_select(
@@ -97,24 +89,28 @@ def balancing_select(
     is usually a Grid but any ascending lambda sequence is accepted
     (degenerate single-point families included).
     """
-    lams = [float(v) for v in (grid.lambdas if isinstance(grid, Grid) else grid)]
-    if not lams or sorted(lams) != lams:
+    lams = np.asarray(grid.lambdas if isinstance(grid, Grid) else grid, dtype=float)
+    if lams.ndim != 1 or not lams.size or np.any(lams[1:] < lams[:-1]):
         raise IncompleteFamilyError("grid lambdas must be a nonempty ascending sequence")
-    m = len(lams)
+    m = lams.size
     fits = np.asarray(fits, dtype=float)
     if fits.shape != (dec.dim, m):
         raise IncompleteFamilyError(
             f"expected one fit column per grid point, shape {(dec.dim, m)}, got {fits.shape}"
         )
 
+    # lambda'^s one lambda at a time, with Python's float power: numpy's array power
+    # differs from it in the last bit on some grid values
+    lam_s = np.array([lam**cfg.s for lam in lams.tolist()])
     mult = cfg.threshold_multiplier(m)
-    thresholds = np.array(
-        [mult * lam**cfg.s * empirical_sample_error(dec.eigenvalues, cfg, lam) for lam in lams]
-    )
+    thresholds = mult * lam_s * empirical_sample_error(dec.eigenvalues, cfg, lams)
     # one projection of all coefficient vectors onto the shared eigenbasis, a row per lambda;
     # C order, so that the pair differences are contiguous rows, which np.dot sums in its order
     proj = np.ascontiguousarray(dec.project(fits).T)
-    weights = _norm_weights(dec, lams, cfg.s)
+    # a row kscale mu (mu + lambda')^{2s} per lambda': weighting e^2, e = dec.project(c - c'), it sums
+    # to ||(G + lambda')^s (f - f')||_H^2; null-space modes carry zero K-weight, so truncation is exact
+    mu = dec.eigenvalues[: dec.rank]
+    weights = dec.kscale * mu * (mu + lams[:, None]) ** (2.0 * cfg.s)
     norms = np.empty(m * (m - 1) // 2)  # pair (i, j) at i (i - 1) / 2 + j
     accepted = np.ones(m, dtype=bool)
     for i in range(1, m):
@@ -128,9 +124,9 @@ def balancing_select(
         accepted[i] = not np.any(row > thresholds[:i])
     index = int(np.flatnonzero(accepted)[-1])
     return BalancingDiagnostics(
-        lambda_hat=lams[index],
+        lambda_hat=float(lams[index]),
         index=index,
-        jplus=tuple(lam for lam, ok in zip(lams, accepted) if ok),
+        jplus=tuple(lams[accepted].tolist()),
         thresholds=thresholds,
         pairwise_norms=norms,
     )

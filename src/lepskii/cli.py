@@ -8,9 +8,12 @@ numeric CSV output uses 17 significant digits so doubles round-trip exactly.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from .balancing import BalancingConfig, balancing_select
 from .effdim import empirical_effdim, model_effdim, two_sided_check
@@ -79,48 +82,36 @@ def _write_or_print(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _csv_text(header: str, fmt: str, *columns) -> str:
+    """The header line, then one line per row of the columns, formatted by fmt."""
+    buf = io.StringIO()
+    np.savetxt(buf, np.column_stack(columns), fmt=fmt, header=header, comments="")
+    return buf.getvalue()
+
+
 def cmd_effdim(args) -> int:
     model = load_model_json(args.model)
     sample = generate(model, args.n, args.seed)
     dec = gram_decomposition(model.kernel(), sample.data.xs, sample.features)
-    if args.lambda0 == "auto":
-        lam0 = lambda0_from_effdim(model_effdim_fn(model), args.n)
-    else:
-        lam0 = float(args.lambda0)
-    grid = geometric_grid(lam0, args.q)
-    lines = ["lambda,N_model,N_emp,delta,factor5_holds"]
-    for lam in grid.lambdas:
-        lam = float(lam)
-        n_model = model_effdim(model.t_bar, lam)
-        n_emp = empirical_effdim(dec.eigenvalues, lam)
-        chk = two_sided_check(n_model, n_emp, args.n, lam, args.eta)
-        lines.append(
-            ",".join(
-                [
-                    format_float(lam),
-                    format_float(n_model),
-                    format_float(n_emp),
-                    format_float(chk.delta),
-                    str(int(chk.factor5_holds)),
-                ]
-            )
-        )
-    _write_or_print("\n".join(lines) + "\n", args.out)
+    lam0 = lambda0_from_effdim(model_effdim_fn(model), args.n) if args.lambda0 == "auto" else float(args.lambda0)
+    lams = geometric_grid(lam0, args.q).lambdas
+    n_model = model_effdim(model.t_bar, lams)
+    n_emp = empirical_effdim(dec.eigenvalues, lams)
+    chk = two_sided_check(n_model, n_emp, args.n, lams, args.eta)
+    columns = (lams, n_model, n_emp, chk.delta, chk.factor5_holds)
+    text = _csv_text("lambda,N_model,N_emp,delta,factor5_holds", "%.17g,%.17g,%.17g,%.17g,%d", *columns)
+    _write_or_print(text, args.out)
     return 0
 
 
 def cmd_grid(args) -> int:
-    if args.model:
-        model = load_model_json(args.model)
-        lam0 = (
-            lambda0_from_effdim(model_effdim_fn(model), args.n)
-            if args.lambda0 == "auto"
-            else float(args.lambda0)
-        )
-    else:
-        if args.lambda0 == "auto":
-            raise LepskiiError("grid: --lambda0 auto requires --model")
+    model = load_model_json(args.model) if args.model else None
+    if args.lambda0 != "auto":
         lam0 = float(args.lambda0)
+    elif model is None:
+        raise LepskiiError("grid: --lambda0 auto requires --model")
+    else:
+        lam0 = lambda0_from_effdim(model_effdim_fn(model), args.n)
     grid = geometric_grid(lam0, args.q)
     val = validate_grid_conditions(grid, args.n, args.eta)
     doc = {
@@ -138,44 +129,32 @@ def cmd_fit(args) -> int:
     data = read_dataset_csv(args.data)
     dec = gram_decomposition(args.kernel, data.xs)
     coef = fit_from_decomposition(dec, data.ys, FILTERS[args.filter], args.lam)
-    preds = fitted_values(dec, coef)
-    lines = ["x,y,coefficient,prediction"]
-    for x, y, c, p in zip(data.xs, data.ys, coef, preds):
-        lines.append(",".join(format_float(v) for v in (x, y, c, p)))
-    _write_or_print("\n".join(lines) + "\n", args.out)
+    columns = (data.xs, data.ys, coef, fitted_values(dec, coef))
+    _write_or_print(_csv_text("x,y,coefficient,prediction", ",".join(["%.17g"] * 4), *columns), args.out)
     return 0
 
 
 def cmd_balance(args) -> int:
+    # checked before the dataset is read and decomposed, so a bad number fails at once
+    theoretical = args.constant_mode == "theoretical"
+    cfg = BalancingConfig(s=args.s, eta=args.eta, sigma=args.sigma, M_bound=args.M,
+                          use_theoretical_constant=theoretical, bal_factor=args.bal_factor)
     data = read_dataset_csv(args.data)
-    kernel = args.kernel
-    dec = gram_decomposition(kernel, data.xs)
-    if args.lambda0 == "auto":
-        lam0 = heuristic_lambda0(dec.eigenvalues, args.q)
-    else:
-        lam0 = float(args.lambda0)
+    dec = gram_decomposition(args.kernel, data.xs)
+    lam0 = heuristic_lambda0(dec.eigenvalues, args.q) if args.lambda0 == "auto" else float(args.lambda0)
     grid = geometric_grid(lam0, args.q)
-    cfg = BalancingConfig(
-        s=args.s,
-        eta=args.eta,
-        sigma=args.sigma,
-        M_bound=args.M,
-        use_theoretical_constant=(args.constant_mode == "theoretical"),
-        bal_factor=args.bal_factor,
-    )
     fits = fit_from_decomposition(dec, data.ys, FILTERS[args.filter], grid.lambdas)
     diag = balancing_select(fits, grid, dec, cfg)
     lams = grid.lambdas.tolist()
-    pairs = [(i, j) for i in range(len(lams)) for j in range(i)]  # diag.pairwise_norms' order
     doc = {
         "lambda_hat": diag.lambda_hat,
         "s": cfg.s,
         "grid": lams,
         "jplus": list(diag.jplus),
         "thresholds": dict(zip(map(format_float, lams), diag.thresholds.tolist())),
-        "pairwise_norms": {
+        "pairwise_norms": {  # pairs (i, j < i) in np.tril_indices order, as diag holds them
             f"{format_float(lams[i])},{format_float(lams[j])}": v
-            for (i, j), v in zip(pairs, diag.pairwise_norms.tolist())
+            for i, j, v in zip(*np.tril_indices(len(lams), -1), diag.pairwise_norms.tolist())
         },
     }
     _write_or_print(json.dumps(doc, indent=2) + "\n", args.out)

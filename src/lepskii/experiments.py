@@ -26,6 +26,7 @@ from .errors import (
     DegenerateSplitError,
     DomainViolationError,
     InsufficientDataError,
+    InvalidRatioError,
     LepskiiError,
 )
 from .estimators import FilterMethod, TIKHONOV, fit_from_decomposition, predict
@@ -58,6 +59,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.replications < 0:
             raise InsufficientDataError("replications must be >= 0")
+        if not self.grid_q > 1.0:
+            raise InvalidRatioError(f"grid_q must exceed 1, got {self.grid_q}")
+        if not (0.0 < self.holdout_fraction < 1.0):
+            raise DegenerateSplitError(f"holdout_fraction must lie in (0, 1), got {self.holdout_fraction}")
 
 
 @dataclass
@@ -302,8 +307,7 @@ def concentration_experiment(
     per-(n, lambda) cells aggregate across replications.
     """
     kernel = model.kernel()
-    t_bar = model.t_bar
-    cells: dict[tuple[int, float], list[int]] = {}
+    seen = [np.empty((0, 4))]  # (n, lambda, delta, factor-5 held) at each applicable grid point
     all_events: dict[int, list[bool]] = {}
     for n in n_values:
         events = []
@@ -312,35 +316,24 @@ def concentration_experiment(
             xs = np.random.default_rng(seed_base + rep).random(n)
             eigs = gram_eigenvalues(kernel, xs)
             if lambdas is None:
-                lam0 = heuristic_lambda0(eigs, q)
-                lams = geometric_grid(lam0, q).lambdas
+                lams = geometric_grid(heuristic_lambda0(eigs, q), q).lambdas
             else:
                 lams = np.asarray(lambdas, dtype=float)
-            event = True
-            for lam in lams:
-                lam = float(lam)
-                chk = two_sided_check(
-                    model_effdim(t_bar, lam), empirical_effdim(eigs, lam), n, lam, eta
-                )
-                if chk.factor5_applicable:
-                    stats = cells.setdefault((n, lam), [0, 0])
-                    stats[0] += 1
-                    stats[1] += int(chk.factor5_holds)
-                    event = event and chk.factor5_holds
-            events.append(event)
+            chk = two_sided_check(model_effdim(model.t_bar, lams), empirical_effdim(eigs, lams), n, lams, eta)
+            app = chk.factor5_applicable
+            seen.append(np.column_stack([np.full(lams.size, n), lams, chk.delta, chk.factor5_holds])[app])
+            events.append(bool(chk.factor5_holds[app].all()))
         all_events[n] = events
 
-    cell_objs = []
-    for (n, lam), (total, holds) in sorted(cells.items()):
-        delta = 2.0 * np.log(4.0 / eta) / np.sqrt(n * lam)
-        cell_objs.append(
-            ConcentrationCell(
-                n=n, lam=lam, delta=float(delta), applicable=delta <= 1.0,
-                replications=total, holds=holds,
-            )
-        )
+    # one cell per distinct (n, lambda), in sorted order
+    seen = np.concatenate(seen)
+    _, first, at = np.unique(seen[:, :2], axis=0, return_index=True, return_inverse=True)
+    totals, holds = np.bincount(at), np.bincount(at, weights=seen[:, 3])
     return ConcentrationSummary(
-        cells=tuple(cell_objs),
+        cells=tuple(
+            ConcentrationCell(int(n), lam, delta, delta <= 1.0, int(total), int(held))
+            for (n, lam, delta, _), total, held in zip(seen[first].tolist(), totals, holds)
+        ),
         all_event_frequency={n: float(np.mean(ev)) for n, ev in all_events.items()},
         rep_events={n: tuple(ev) for n, ev in all_events.items()},
     )

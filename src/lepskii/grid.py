@@ -15,6 +15,8 @@ import numpy as np
 
 from .effdim import effdim_clamped, empirical_effdim
 from .errors import (
+    DomainViolationError,
+    InvalidEtaError,
     InvalidLambda0Error,
     InvalidRatioError,
     NoRootError,
@@ -130,6 +132,10 @@ class GridValidation:
 
 def validate_grid_conditions(g: Grid, n: int, eta: float) -> GridValidation:
     """Check n lambda_0 >= 2 and 2 log(4 |grid| / eta) <= sqrt(n lambda_0)."""
+    if not (0.0 < eta < 1.0):
+        raise InvalidEtaError(f"eta must lie in (0, 1), got {eta}")
+    if n < 1:
+        raise DomainViolationError("n must be >= 1")
     nlam0 = n * g.lambda0
     return GridValidation(
         nlam0_ok=bool(nlam0 >= 2.0),

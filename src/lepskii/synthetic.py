@@ -19,9 +19,11 @@ import numpy as np
 
 from .effdim import (
     SampleErrorParams,
+    Values,
     effdim_clamped,
     model_effdim,
     sample_error,
+    scalar_or_array,
 )
 from .errors import (
     DimensionMismatchError,
@@ -211,8 +213,12 @@ class ApproxErrorOracle:
         src = model.source
         return cls(R=src.R, r=src.r, d2_constant=src.R * src.r if src.r > 1.0 else 0.0)
 
-    def a_tilde(self, lam: float, n: int) -> float:
-        return float(self.R * lam**self.r) + self.d2_constant / np.sqrt(n)
+    def a_tilde(self, lam: Values, n: int) -> Values:
+        """R lambda^r + C / sqrt(n), one value per lambda of a 1-d array."""
+        # lambda^r one lambda at a time, with Python's float power: numpy's array power
+        # differs from it in the last bit on some grid values
+        lam_r = np.reshape([v**self.r for v in np.ravel(lam).tolist()], np.shape(lam))
+        return scalar_or_array(self.R * lam_r + self.d2_constant / np.sqrt(n))
 
 
 def balance_crossing(a_tilde: Callable[[float], float], s_tilde: Callable[[float], float]) -> float:
@@ -232,10 +238,7 @@ def oracle_lambda_balance(
 ) -> float:
     """lambda_opt = sup{lambda : A(lambda) + d2 <= S(n, lambda) + d1} at n = params.n,
     found by bisection."""
-
-    def s_tilde(lam: float) -> float:
-        return sample_error(params, effdim_clamped(effdim_fn(lam)), lam)
-
+    s_tilde = lambda lam: sample_error(params, effdim_clamped(effdim_fn(lam)), lam)
     return balance_crossing(lambda lam: oracle.a_tilde(lam, params.n), s_tilde)
 
 
@@ -249,25 +252,23 @@ def rate_exponent(r: float, b: float, s: float) -> float:
 def lambda_star(
     grid: Grid,
     oracle: ApproxErrorOracle,
-    effdim_fn: Callable[[float], float],
+    effdim_fn: Callable[[Values], Values],
     params: SampleErrorParams,
 ) -> float:
-    """Largest grid point where the A-bound is still dominated by the S-bound at n = params.n."""
-    members = [
-        float(lam)
-        for lam in grid.lambdas
-        if oracle.a_tilde(float(lam), params.n)
-        <= sample_error(params, effdim_clamped(effdim_fn(float(lam))), float(lam))
-    ]
-    if not members:
+    """Largest grid point where the A-bound is still dominated by the S-bound at n = params.n;
+    `effdim_fn` maps an array of lambdas to one effective dimension each."""
+    lams = grid.lambdas
+    s_bound = sample_error(params, effdim_clamped(effdim_fn(lams)), lams)
+    members = oracle.a_tilde(lams, params.n) <= s_bound
+    if not members.any():
         raise EmptyJError("A exceeds S at every grid point; grid does not reach the crossing")
-    if len(members) == grid.size:
+    if members.all():
         raise FullJError("A stays below S across the entire grid; crossing not bracketed")
-    return max(members)
+    return float(lams[members].max())
 
 
-def model_effdim_fn(model: SyntheticModel) -> Callable[[float], float]:
-    """The map lambda -> N(lambda) for the model spectrum."""
+def model_effdim_fn(model: SyntheticModel) -> Callable[[Values], Values]:
+    """The map lambda -> N(lambda) for the model spectrum, for a scalar or a 1-d lambda array."""
     return lambda lam: model_effdim(model.t_bar, lam)
 
 

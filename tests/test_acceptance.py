@@ -9,6 +9,7 @@ value is printed and recorded.
 """
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -35,6 +36,11 @@ from lepskii.kernels import (
 from lepskii.synthetic import generate, model_effdim_fn, polynomial_spectrum_model
 
 
+# replications run one per CPU; tests/conftest.py pins BLAS to one thread, so they do not
+# oversubscribe, and run_experiment returns the same rows whatever the thread count
+THREADS = len(os.sched_getaffinity(0))
+
+
 def report(capsys, tag, ok, detail):
     with capsys.disabled():
         print(f"\nACCEPTANCE {tag}: {'PASS' if ok else 'FAIL'} ({detail})", flush=True)
@@ -57,7 +63,7 @@ def pinned_instance_rows():
         filters=(TIKHONOV,),
         lambda0_mode="model",
     )
-    return run_experiment(cfg)
+    return run_experiment(cfg, threads=THREADS)
 
 
 @pytest.mark.acceptance
@@ -114,7 +120,7 @@ def test_c4_rate_reproduction(capsys):
         filters=(TIKHONOV,),
         lambda0_mode="model",
     )
-    rows = run_experiment(cfg)
+    rows = run_experiment(cfg, threads=THREADS)
     fit = fit_rate(rows, "err_s12_at_hat")
     ok = -0.55 <= fit.slope <= -0.25
     report(capsys, "criterion 4 (adaptive rate reproduction)", ok,
@@ -150,7 +156,7 @@ def test_c6_inclusion_frequency(capsys):
         filters=(TIKHONOV,),
         lambda0_mode="model",
     )
-    rows = [r for r in run_experiment(cfg) if not r.error]
+    rows = [r for r in run_experiment(cfg, threads=THREADS) if not r.error]
     freq = float(np.mean([r.lambda_star <= r.lambda_hat_half for r in rows]))
     ok = freq >= 0.8
     report(capsys, "criterion 6 (inclusion lambda-star <= lambda-hat)", ok,

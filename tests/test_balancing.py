@@ -251,3 +251,15 @@ def test_estimate_sigma_constant_target_closed_form():
     expected = np.sqrt(np.sum((ys - fitted) ** 2) / (60 - df))
     assert est == pytest.approx(expected, rel=1e-8)
     assert est == pytest.approx(np.sqrt(np.mean((ys - fitted) ** 2)), rel=0.05)
+
+
+@pytest.mark.parametrize("s", [0.0, 0.25, 0.5, 0.37])
+def test_thresholds_equal_their_scalar_formula_bit_for_bit(s):
+    # on this q = 1.5 grid numpy's array power lambda**0.37 differs from Python's in the last bit
+    model, sample, kernel, dec = _instance(13, n=80, d=40)
+    grid = geometric_grid(1e-5, 1.5)
+    cfg = BalancingConfig(s=s, sigma=0.3, M_bound=0.3, bal_factor=2.0)
+    diag = balancing_select(fit_from_decomposition(dec, sample.data.ys, TIKHONOV, grid.lambdas), grid, dec, cfg)
+    mult = cfg.threshold_multiplier(grid.size)
+    expected = [mult * lam**s * empirical_sample_error(dec.eigenvalues, cfg, lam) for lam in grid.lambdas.tolist()]
+    assert np.array_equal(diag.thresholds, expected)

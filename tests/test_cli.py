@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from lepskii import estimators, kernels
+from lepskii import cli, estimators, kernels
 from lepskii.balancing import BalancingConfig, balancing_select
 from lepskii.cli import dispatch, parse_kernel
 from lepskii.estimators import TIKHONOV, fit_from_decomposition
@@ -199,6 +199,36 @@ def test_balance_rejects_a_non_finite_bal_factor(tmp_path, capsys, model_file, f
     assert not (tmp_path / "bal.json").exists()
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [("--bal-factor", "nan", "sigma, M and bal_factor must be finite"), ("--eta", "2", "eta must lie in (0, 1)")],
+    ids=["bal-factor-nan", "eta-2"],
+)
+def test_balance_checks_its_numbers_before_the_decomposition(tmp_path, capsys, monkeypatch, flag, value, message):
+    def decompose(*args, **kwargs):
+        raise AssertionError("the Gram matrix was decomposed before the balancing numbers were checked")
+
+    monkeypatch.setattr(cli, "gram_decomposition", decompose)
+    data_path = tmp_path / "d.csv"
+    write_dataset_csv(Dataset(np.linspace(0.0, 1.0, 20), np.zeros(20)), data_path)
+    argv = ["balance", "--data", str(data_path), "--kernel", "gaussian:0.2", "--sigma", "0.3", flag, value]
+    assert dispatch(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "flags", [["--eta", "0"], ["--eta", "-1"], ["--eta", "1.5"], ["--n", "0"]], ids=["eta-0", "eta-minus-1", "eta-1.5", "n-0"]
+)
+def test_grid_rejects_eta_outside_the_unit_interval_and_n_below_one(capsys, flags):
+    # eta = 0 ended in a ZeroDivisionError traceback, eta = -1 in a RuntimeWarning and exit 0,
+    # and eta = 1.5 or n = 0 exited 0 with both conditions reported false
+    code = dispatch(["grid", "--n", "500", "--lambda0", "0.01", *flags])
+    captured = capsys.readouterr()
+    assert code == 1 and not captured.out
+    assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+
+
 def test_experiment_command_roundtrip_and_determinism(tmp_path, model_file):
     cfg = {
         "model": MODEL_DOC,
@@ -323,12 +353,20 @@ def test_wrongly_typed_document_values_are_bad_input(tmp_path, capsys, command, 
 
 
 def test_negative_replications_leave_no_output_directory(tmp_path, capsys):
-    # the output directory used to be created before the count was checked
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"model": MODEL_DOC, "n_values": [60], "replications": -1}), encoding="utf-8")
-    code = dispatch(["experiment", "--config", str(path), "--out-dir", str(tmp_path / "out")])
-    assert code == 1 and "replications must be >= 0" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+    # the output directory used to be created before the count was checked; a grid ratio or
+    # hold-out fraction out of range used to exit 0 with every row failure-tagged
+    cases = [
+        ({"replications": -1}, "replications must be >= 0"),
+        ({"grid_q": 0.5}, "grid_q must exceed 1, got 0.5"),
+        ({"holdout_fraction": 1.5}, "holdout_fraction must lie in (0, 1), got 1.5"),
+    ]
+    for override, message in cases:
+        path = tmp_path / "cfg.json"
+        cfg = {"model": MODEL_DOC, "n_values": [60], "replications": 1, **override}
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        code = dispatch(["experiment", "--config", str(path), "--out-dir", str(tmp_path / "out")])
+        assert code == 1 and message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 def test_fit_predicts_through_the_factor(tmp_path, monkeypatch):

@@ -1,17 +1,21 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from _oracles import model_sample_error
 from lepskii.effdim import (
     SampleErrorParams,
+    TwoSidedCheck,
     effdim_clamped,
     empirical_effdim,
     model_effdim,
     sample_error,
     two_sided_check,
 )
-from lepskii.errors import EmptySpectrumError, InvalidEtaError, InvalidLambdaError
+from lepskii.errors import DimensionMismatchError, EmptySpectrumError, InvalidEtaError, InvalidLambdaError
 from lepskii.experiments import loglog_fit
+from lepskii.grid import geometric_grid
 
 
 def test_empirical_effdim_scalar():
@@ -63,6 +67,11 @@ def test_model_effdim_errors():
         model_effdim(np.array([]), 0.5)
     with pytest.raises(InvalidLambdaError):
         model_effdim(np.array([0.5]), 0.0)
+    # an array is checked entry by entry, and the first bad entry is named
+    with pytest.raises(InvalidLambdaError, match="got 0.0"):
+        model_effdim(np.array([0.5]), np.array([0.5, 0.0, 2.0]))
+    with pytest.raises(DimensionMismatchError):
+        model_effdim(np.array([0.5]), np.full((2, 2), 0.5))
 
 
 def test_effdim_clamped():
@@ -139,3 +148,27 @@ def test_two_sided_check_delta_to_zero_limit():
 def test_two_sided_check_invalid_eta():
     with pytest.raises(InvalidEtaError):
         two_sided_check(1.0, 1.0, 10, 0.5, 1.5)
+
+
+def test_lambda_array_calls_equal_the_scalar_calls_bit_for_bit():
+    # each lambda's entry is summed over the contiguous spectrum as its scalar call sums it
+    rng = np.random.default_rng(11)
+    mu = np.sort(rng.random(300) ** 6)[::-1]
+    t = np.arange(1, 501, dtype=float) ** -2.0
+    t /= 2.0 * t.sum()
+    lams = geometric_grid(1e-5, 1.5).lambdas
+    n, p = 300, SampleErrorParams(sigma=0.3, M_bound=0.2, n=300)
+    each = lambda fn: [fn(lam) for lam in lams.tolist()]
+    assert np.array_equal(empirical_effdim(mu, lams), each(lambda lam: empirical_effdim(mu, lam)))
+    assert np.array_equal(model_effdim(t, lams), each(lambda lam: model_effdim(t, lam)))
+    s_of = lambda lam: sample_error(p, effdim_clamped(empirical_effdim(mu, lam)), lam)
+    assert np.array_equal(s_of(lams), each(s_of))
+    check_of = lambda lam: two_sided_check(model_effdim(t, lam), empirical_effdim(mu, lam), n, lam, 0.1)
+    grid_check, scalar_checks = check_of(lams), each(check_of)
+    for field in dataclasses.fields(TwoSidedCheck):
+        assert np.array_equal(getattr(grid_check, field.name), [getattr(c, field.name) for c in scalar_checks])
+    # the grid crosses delta = 1 and both outcomes of the general check occur, so no field is constant
+    assert 0 < grid_check.factor5_applicable.sum() < lams.size
+    assert 0 < grid_check.general_holds.sum() < lams.size
+    # a scalar in gives a scalar out
+    assert type(empirical_effdim(mu, 0.5)) is float and type(check_of(0.5).factor5_holds) is bool

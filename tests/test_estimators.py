@@ -22,6 +22,7 @@ from lepskii.kernels import (
     gram_decomposition,
     kappa_squared,
 )
+from lepskii.grid import geometric_grid
 from lepskii.synthetic import generate, polynomial_spectrum_model
 
 
@@ -265,3 +266,17 @@ def test_fit_from_decomposition_shared_across_lambdas():
             assert np.all(err <= 1e-13 * np.linalg.norm(stacked, axis=0))
     with pytest.raises(InvalidLambdaError):
         fit_from_decomposition(dec, ys, TIKHONOV, np.array([0.1, 0.0]))
+
+
+@pytest.mark.parametrize("method", [TIKHONOV, SPECTRAL_CUTOFF, LANDWEBER], ids=lambda m: m.variant)
+def test_filter_value_over_a_lambda_array_equals_the_scalar_calls_bit_for_bit(method):
+    # one row per lambda. Lambdas in [0.5, 1) give Landweber nu = 2, whose (1-t)^2 numpy
+    # evaluates as a square; a power with an array of exponents differs from it in the last
+    # bit, on inputs of 64 elements and more
+    t = np.random.default_rng(12).random(256)
+    t[:3] = (0.0, 1e-13, 1.0)
+    lams = np.r_[geometric_grid(1e-3, 1.5).lambdas, 0.5, 0.6, 0.75, 0.99]
+    rows = filter_value(method, lams, t)
+    assert rows.shape == (lams.size, t.size)
+    assert np.array_equal(rows, [filter_value(method, lam, t) for lam in lams.tolist()])
+    assert np.array_equal(filter_value(method, lams, 0.0), [filter_value(method, lam, 0.0) for lam in lams.tolist()])

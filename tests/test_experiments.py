@@ -6,7 +6,13 @@ import pytest
 from _oracles import bernstein_bound, holdout_tikhonov_lambda
 from lepskii.balancing import BalancingConfig
 from lepskii.effdim import empirical_effdim, model_effdim, two_sided_check
-from lepskii.errors import DegenerateSplitError, InsufficientDataError, InvalidEtaError, LepskiiError
+from lepskii.errors import (
+    DegenerateSplitError,
+    InsufficientDataError,
+    InvalidEtaError,
+    InvalidRatioError,
+    LepskiiError,
+)
 from lepskii.estimators import LANDWEBER, SPECTRAL_CUTOFF, TIKHONOV, fit_from_decomposition, predict
 from lepskii.experiments import (
     ExperimentConfig,
@@ -266,9 +272,21 @@ def test_run_experiment_tags_failed_per_n_setup():
     assert summarize(rows)["failed_rows"] == 4
 
 
+@pytest.mark.parametrize(
+    "field, value, error",
+    [("grid_q", 1.0, InvalidRatioError), ("grid_q", float("nan"), InvalidRatioError),
+     ("holdout_fraction", 0.0, DegenerateSplitError), ("holdout_fraction", 1.0, DegenerateSplitError)],
+)
+def test_experiment_config_rejects_a_grid_ratio_or_holdout_fraction_out_of_range(field, value, error):
+    # at construction, before any replication is generated; they used to tag every row instead
+    with pytest.raises(error):
+        _tiny_config(**{field: value})
+
+
 def test_run_experiment_failed_holdout_row_carries_only_its_tag():
-    # the hold-out runs after every filter's other columns; its failure still blanks the row
-    cfg = _tiny_config(n_values=(60,), replications=1, filters=(TIKHONOV, LANDWEBER), holdout_fraction=1.0)
+    # the hold-out runs after every filter's other columns; its failure still blanks the row.
+    # A fraction of 0.999 passes the config's range check, but leaves no validation point at n = 60
+    cfg = _tiny_config(n_values=(60,), replications=1, filters=(TIKHONOV, LANDWEBER), holdout_fraction=0.999)
     rows = run_experiment(cfg)
     assert [r.filter for r in rows] == ["tikhonov", "landweber"]
     for row in rows:

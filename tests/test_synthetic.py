@@ -21,6 +21,7 @@ from lepskii.synthetic import (
     estimator_basis_coefficients,
     generate,
     lambda_star,
+    model_effdim_fn,
     model_from_dict,
     oracle_lambda_balance,
     polynomial_spectrum_model,
@@ -297,3 +298,20 @@ def test_custom_spectrum_model_kappa_consistency():
     model = custom_spectrum_model(t, sigma=0.1)
     assert model.kappa2 == pytest.approx(kappa_squared(model.kernel()))
     assert np.allclose(model.t_bar * model.kappa2, t)
+
+
+def test_lambda_star_and_a_tilde_over_the_grid_equal_the_scalar_calls_bit_for_bit():
+    # r = 1.5 on a q = 1.25 grid: numpy's array power lambda**1.5 differs from Python's in the
+    # last bit at some of these lambdas, at lambda = 0.8 by more than the r > 1 remainder absorbs
+    model = polynomial_spectrum_model(b=2.0, size=500, r=1.5, R=1.0, sigma=0.3)
+    oracle, effdim_fn, n = ApproxErrorOracle.from_model(model), model_effdim_fn(model), 10_000
+    params = model.params(n)
+    grid = geometric_grid(1e-4, 1.25)
+    lams = grid.lambdas.tolist()
+    a_tilde = [oracle.R * lam**oracle.r + oracle.d2_constant / np.sqrt(n) for lam in lams]
+    assert np.array_equal(oracle.a_tilde(grid.lambdas, n), a_tilde)
+    assert [oracle.a_tilde(lam, n) for lam in lams] == a_tilde
+    s_tilde = lambda lam: sample_error(params, effdim_clamped(effdim_fn(lam)), lam)
+    members = [lam for lam, a in zip(lams, a_tilde) if a <= s_tilde(lam)]
+    assert 0 < len(members) < len(lams)
+    assert lambda_star(grid, oracle, effdim_fn, params) == max(members)
