@@ -36,9 +36,8 @@ PADS = (0, 40, 120)
 BIMODAL_GAP = 0.02
 
 
-def make_copy(checkout: Path, base: Path, pad: int) -> Path:
-    """A copy of the benchmark's inputs at base/<pad characters>."""
-    root = base / ("p" * pad) if pad else base / "c"
+def make_copy(checkout: Path, root: Path) -> Path:
+    """A copy of the benchmark's inputs at root."""
     root.mkdir()
     for name in COPIED:
         src = checkout / name
@@ -49,15 +48,20 @@ def make_copy(checkout: Path, base: Path, pad: int) -> Path:
     return root
 
 
-def peak_rss(root: Path, workload: str, seed: int, seconds: float) -> float:
-    """peak_rss_mb of one untraced benchmark run in `root`; raises if the run fails or
-    any op fails its check."""
+def bench_result(root: Path, workload: str, seed: int, seconds: float) -> dict:
+    """The result object of one untraced benchmark run in `root`; raises if the run fails."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
         cwd=root, capture_output=True, text=True, check=True,
     )
-    result = json.loads(proc.stdout.splitlines()[-1])
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def peak_rss(root: Path, workload: str, seed: int, seconds: float) -> float:
+    """peak_rss_mb of one untraced benchmark run in `root`; raises if the run fails or
+    any op fails its check."""
+    result = bench_result(root, workload, seed, seconds)
     if result["failed"]:
         raise RuntimeError(f"{result['failed']} ops failed in {root} (seed {seed})")
     return float(result["metrics"]["peak_rss_mb"]["value"])
@@ -84,7 +88,8 @@ def main(argv=None) -> int:
     args = parse_args(argv)
     base = Path(tempfile.mkdtemp(prefix="rss-sweep-"))
     try:
-        roots = [make_copy(args.checkout.resolve(), base, pad) for pad in PADS]
+        roots = [make_copy(args.checkout.resolve(), base / ("p" * pad if pad else "c"))
+                 for pad in PADS]
         readings = []
         print("path_len,seed,peak_rss_mb")
         for seed in args.seeds:

@@ -8,6 +8,7 @@ numeric CSV output uses 17 significant digits so doubles round-trip exactly.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import sys
@@ -237,7 +238,14 @@ def cmd_rate(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process and shared by every dispatch.
+
+    Parsing leaves the parser unchanged: each call starts from a fresh namespace. Each
+    command is bound at the first build, so code replacing a command patches the names
+    that command calls (as the tests patch `cli.gram_decomposition`), not `cli.cmd_*`.
+    """
     parser = argparse.ArgumentParser(
         prog="lepskii",
         description="Adaptive regularization-parameter selection by the balancing principle",

@@ -16,6 +16,7 @@ import numpy as np
 from .effdim import effdim_clamped, empirical_effdim
 from .errors import (
     DomainViolationError,
+    EmptySpectrumError,
     InvalidEtaError,
     InvalidLambda0Error,
     InvalidRatioError,
@@ -107,6 +108,8 @@ def heuristic_lambda0(eigenvalues: np.ndarray, q: float) -> float:
     if not q > 1.0:
         raise InvalidRatioError(f"ratio q must exceed 1, got {q}")
     n = len(eigenvalues)
+    if n == 0:
+        raise EmptySpectrumError("heuristic lambda0 needs at least one eigenvalue")
     # clamping makes the criterion certain to fire by lambda <= 1/(n thr^2), so the
     # abort floor never truncates a walk that must succeed; it stops a walk whose
     # proxy never compares true (a NaN spectrum)

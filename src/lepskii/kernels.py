@@ -401,8 +401,10 @@ def gram_eigenvalues(k: KernelSpec, xs: np.ndarray) -> np.ndarray:
     factor = _factor_route(k, xs)
     if factor is None:
         return _clamp_unit_interval(np.linalg.eigvalsh(normalized_gram(k, xs).values)[::-1])
+    c = factor[1]
+    del factor  # only Phi^T Phi is solved; Phi is freed before the solve
+    vals = np.linalg.eigvalsh(c)[::-1]
     out = np.zeros(xs.shape[0])
-    vals = np.linalg.eigvalsh(factor[1])[::-1]
     out[: vals.shape[0]] = _clamp_unit_interval(vals)
     return out
 

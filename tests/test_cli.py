@@ -188,6 +188,34 @@ def test_balance_cli_matches_library(tmp_path, model_file):
     assert list(doc["pairwise_norms"]) == [f"{lams[i]},{lams[j]}" for i in range(grid.size) for j in range(i)]
 
 
+def test_the_shared_parser_carries_nothing_from_one_call_to_the_next(tmp_path, capsys, model_file):
+    assert cli.build_parser() is cli.build_parser()
+    data_path = tmp_path / "d.csv"
+    dispatch(["simulate", "--model", model_file, "--n", "40", "--seed", "2", "--out", str(data_path)])
+    argv = ["balance", "--data", str(data_path), "--kernel", "gaussian:0.2", "--sigma", "0.3"]
+    assert dispatch(argv) == 0
+    first = capsys.readouterr().out
+    assert dispatch([*argv, "--bal-factor", "nan"]) == 1
+    with pytest.raises(SystemExit) as exc:
+        dispatch(["experiment", "--config", "cfg.json", "--out-dir", str(tmp_path / "out"), "--threads", "0"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert dispatch([*argv, "--s", "0.25"]) == 0
+    quarter = json.loads(capsys.readouterr().out)
+    assert dispatch(argv) == 0
+    assert capsys.readouterr().out == first
+
+    data = read_dataset_csv(data_path)
+    dec = gram_decomposition(GaussianKernel(0.2), data.xs)
+    grid = geometric_grid(heuristic_lambda0(dec.eigenvalues, 2.0), 2.0)
+    fits = fit_from_decomposition(dec, data.ys, TIKHONOV, grid.lambdas)
+    diag = balancing_select(fits, grid, dec, BalancingConfig(s=0.25, sigma=0.3))
+    assert quarter["s"] == 0.25 and json.loads(first)["s"] == 0.5
+    assert quarter["lambda_hat"] == diag.lambda_hat and quarter["jplus"] == list(diag.jplus)
+    assert list(quarter["thresholds"].values()) == diag.thresholds.tolist()
+    assert list(quarter["pairwise_norms"].values()) == diag.pairwise_norms.tolist()
+
+
 @pytest.mark.parametrize("factor", ["nan", "inf"])
 def test_balance_rejects_a_non_finite_bal_factor(tmp_path, capsys, model_file, factor):
     # it used to exit 0 with NaN thresholds and lambda-hat = 1, printed as invalid JSON

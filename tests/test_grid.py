@@ -4,6 +4,7 @@ import pytest
 from _oracles import model_sample_error
 from lepskii.effdim import SampleErrorParams, model_effdim
 from lepskii.errors import (
+    EmptySpectrumError,
     InvalidLambda0Error,
     InvalidRatioError,
     NoRootError,
@@ -143,6 +144,12 @@ def test_heuristic_not_reached():
     # a NaN proxy never reaches the threshold; the floor guard ends the walk
     with pytest.raises(NotReachedError):
         heuristic_lambda0(np.r_[1.0, np.nan, np.zeros(48)], 2.0)
+
+
+def test_heuristic_rejects_an_empty_spectrum():
+    # it used to raise ZeroDivisionError from the walk's floor 1 / n^2
+    with pytest.raises(EmptySpectrumError):
+        heuristic_lambda0(np.array([]), 2.0)
 
 
 def test_validate_grid_conditions_example():
